@@ -418,21 +418,24 @@ struct SweepBenchSetup {
   sim::PairAnalysisConfig cfg;
 };
 
-SweepBenchSetup sweep_setup(std::int64_t n) {
+SweepBenchSetup sweep_setup(std::int64_t n, sim::AnalysisSet analyses) {
   const auto& topo = registry_topo(n);
   sim::PairAnalysisConfig cfg;
-  // Three analyses wanting attacked + normal + attacked-under-empty: every
-  // outcome the destination-grouped cache can amortize or seed.
-  cfg.analyses = sim::Analysis::kHappiness | sim::Analysis::kCollateral |
-                 sim::Analysis::kRootCause;
+  cfg.analyses = analyses;
   cfg.model = routing::SecurityModel::kSecurityThird;
   return {topo, half_secure(topo.graph),
           sim::sample_ases(sim::non_stub_ases(topo.graph), 10, 3),
           sim::sample_ases(sim::all_ases(topo.graph), 8, 4), cfg};
 }
 
-void BM_SweepIncremental(benchmark::State& state) {
-  const auto setup = sweep_setup(state.range(0));
+// Three analyses wanting attacked + normal + attacked-under-empty: every
+// outcome the destination-grouped cache can amortize or seed.
+constexpr sim::AnalysisSet kSweepAnalyses = sim::Analysis::kHappiness |
+                                            sim::Analysis::kCollateral |
+                                            sim::Analysis::kRootCause;
+
+void sweep_incremental(benchmark::State& state, sim::AnalysisSet analyses) {
+  const auto setup = sweep_setup(state.range(0), analyses);
   const auto plan = sim::make_sweep_plan(setup.attackers, setup.dests);
   sim::BatchExecutor executor;
   sim::RunnerOptions opts;
@@ -445,11 +448,10 @@ void BM_SweepIncremental(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * plan.num_pairs()));
 }
-BENCHMARK(BM_SweepIncremental)->Arg(500)->Arg(8000)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
-void BM_SweepFullRecompute(benchmark::State& state) {
-  const auto setup = sweep_setup(state.range(0));
+void sweep_full_recompute(benchmark::State& state,
+                          sim::AnalysisSet analyses) {
+  const auto setup = sweep_setup(state.range(0), analyses);
   const auto pairs = sim::make_attack_pairs(setup.attackers, setup.dests);
   sim::BatchExecutor executor;
   const std::size_t workers = executor.effective_workers(0);
@@ -469,7 +471,31 @@ void BM_SweepFullRecompute(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * pairs.size()));
 }
+
+void BM_SweepIncremental(benchmark::State& state) {
+  sweep_incremental(state, kSweepAnalyses);
+}
+BENCHMARK(BM_SweepIncremental)->Arg(500)->Arg(8000)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
+
+void BM_SweepFullRecompute(benchmark::State& state) {
+  sweep_full_recompute(state, kSweepAnalyses);
+}
 BENCHMARK(BM_SweepFullRecompute)->Arg(500)->Arg(8000)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
+
+// All five analyses: adds the partition and downgrade contexts, which the
+// incremental path classifies off the seeded S = emptyset attacked state.
+void BM_SweepAllIncremental(benchmark::State& state) {
+  sweep_incremental(state, sim::AnalysisSet::all());
+}
+BENCHMARK(BM_SweepAllIncremental)->Arg(500)->Arg(8000)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
+
+void BM_SweepAllFullRecompute(benchmark::State& state) {
+  sweep_full_recompute(state, sim::AnalysisSet::all());
+}
+BENCHMARK(BM_SweepAllFullRecompute)->Arg(500)->Arg(8000)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 // Repeated *small* runner calls — the deployment-rollout access pattern

@@ -56,11 +56,17 @@ struct DestBaselineSlot {
 ///     recomputing overload (pre-attack state); a caller holding its own
 ///     pre-attack outcome uses the precomputed-`normal` overload, which
 ///     leaves the slot alone.
-///   - `baseline` is owned by the partition analysis
-///     (security::PartitionContext computes the S = emptyset attacked
-///     state there for the 2nd/3rd models).
-///   - `attacked_empty` exists so the S = emptyset attacked outcome can
-///     coexist with a live PartitionContext.
+///   - `baseline` holds an S = emptyset state for the standalone paths:
+///     a workspace-constructed security::PartitionContext (LPk ladders and
+///     the classify_sources / analyze_downgrades helpers; security 1st
+///     contexts use `reach_d` / `reach_m` instead), compute_baseline's
+///     convenience overload, and the standalone analyze_collateral /
+///     analyze_root_causes. The fused pipeline writes it only for LPk
+///     partitions.
+///   - `attacked_empty` is the fused pipeline's single S = emptyset
+///     attacked state ({d, m, kInsecure}), computed at most once per pair
+///     and read by collateral, root causes and the standard-ladder
+///     security 2nd/3rd PartitionContext built over it.
 ///   - `dest_baseline` is owned by the destination-grouped sweep
 ///     (sim::accumulate_pair_into with a non-zero sweep context); no
 ///     engine entry point touches it implicitly.
@@ -81,11 +87,11 @@ class EngineWorkspace {
 
   // --- Result slots -----------------------------------------------------
   // The engine computes into `primary` unless told otherwise; multi-outcome
-  // analyses use `normal` (pre-attack state) and `baseline` (S = emptyset
-  // state) so one workspace covers every security analysis. The fused
-  // pair-analysis pipeline (sim/pair_analysis.h) additionally needs the
-  // S = emptyset *attacked* outcome to coexist with the partition
-  // classification state (which owns `baseline`), hence `attacked_empty`.
+  // analyses use `normal` (pre-attack state) and `baseline` (LP-ladder
+  // S = emptyset state) so one workspace covers every security analysis.
+  // The fused pair-analysis pipeline (sim/pair_analysis.h) keeps its
+  // S = emptyset *attacked* outcome in `attacked_empty` (see the ownership
+  // rules above).
   RoutingOutcome primary;
   RoutingOutcome normal;
   RoutingOutcome baseline;

@@ -16,6 +16,7 @@
 #include "routing/model.h"
 #include "security/pair_outcomes.h"
 #include "topology/as_graph.h"
+#include "util/checked.h"
 
 namespace sbgp::security {
 
@@ -46,12 +47,17 @@ struct CollateralStats {
     return *this;
   }
   /// Adds `w` copies of `o` — traffic-weighted accumulation (sim/traffic.h).
+  /// Throws std::overflow_error rather than wrap a counter past 2^64 - 1.
   CollateralStats& add_scaled(const CollateralStats& o, std::uint64_t w) {
-    insecure_sources += o.insecure_sources * w;
-    benefits += o.benefits * w;
-    damages += o.damages * w;
-    benefits_upper += o.benefits_upper * w;
-    damages_upper += o.damages_upper * w;
+    util::add_scaled_checked(insecure_sources, o.insecure_sources, w,
+                             "CollateralStats::insecure_sources");
+    util::add_scaled_checked(benefits, o.benefits, w,
+                             "CollateralStats::benefits");
+    util::add_scaled_checked(damages, o.damages, w, "CollateralStats::damages");
+    util::add_scaled_checked(benefits_upper, o.benefits_upper, w,
+                             "CollateralStats::benefits_upper");
+    util::add_scaled_checked(damages_upper, o.damages_upper, w,
+                             "CollateralStats::damages_upper");
     return *this;
   }
   [[nodiscard]] bool operator==(const CollateralStats&) const = default;

@@ -17,6 +17,7 @@
 #include "security/pair_outcomes.h"
 #include "security/partition.h"
 #include "topology/as_graph.h"
+#include "util/checked.h"
 
 namespace sbgp::security {
 
@@ -42,12 +43,17 @@ struct DowngradeStats {
     return *this;
   }
   /// Adds `w` copies of `o` — traffic-weighted accumulation (sim/traffic.h).
+  /// Throws std::overflow_error rather than wrap a counter past 2^64 - 1.
   DowngradeStats& add_scaled(const DowngradeStats& o, std::uint64_t w) {
-    sources += o.sources * w;
-    secure_normal += o.secure_normal * w;
-    downgraded += o.downgraded * w;
-    secure_kept += o.secure_kept * w;
-    kept_and_immune += o.kept_and_immune * w;
+    util::add_scaled_checked(sources, o.sources, w, "DowngradeStats::sources");
+    util::add_scaled_checked(secure_normal, o.secure_normal, w,
+                             "DowngradeStats::secure_normal");
+    util::add_scaled_checked(downgraded, o.downgraded, w,
+                             "DowngradeStats::downgraded");
+    util::add_scaled_checked(secure_kept, o.secure_kept, w,
+                             "DowngradeStats::secure_kept");
+    util::add_scaled_checked(kept_and_immune, o.kept_and_immune, w,
+                             "DowngradeStats::kept_and_immune");
     return *this;
   }
   [[nodiscard]] bool operator==(const DowngradeStats&) const = default;

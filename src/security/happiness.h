@@ -15,6 +15,7 @@
 #include "routing/engine.h"
 #include "routing/model.h"
 #include "security/pair_outcomes.h"
+#include "util/checked.h"
 
 namespace sbgp::security {
 
@@ -63,10 +64,13 @@ struct HappyTotals {
   /// Adds `w` copies of `o` — the traffic-weighted accumulation
   /// (sim/traffic.h): with w the pair's weight, ratios of weighted totals
   /// are traffic-weighted means instead of pair-count means.
+  /// Throws std::overflow_error rather than wrap a counter past 2^64 - 1.
   HappyTotals& add_scaled(const HappyTotals& o, std::uint64_t w) {
-    happy_lower += o.happy_lower * w;
-    happy_upper += o.happy_upper * w;
-    sources += o.sources * w;
+    util::add_scaled_checked(happy_lower, o.happy_lower, w,
+                             "HappyTotals::happy_lower");
+    util::add_scaled_checked(happy_upper, o.happy_upper, w,
+                             "HappyTotals::happy_upper");
+    util::add_scaled_checked(sources, o.sources, w, "HappyTotals::sources");
     return *this;
   }
   [[nodiscard]] bool operator==(const HappyTotals&) const = default;

@@ -7,10 +7,9 @@
 
 namespace sbgp::security {
 
-PartitionContext::PartitionContext(const AsGraph& g, AsId d, AsId m,
-                                   SecurityModel model, LocalPrefPolicy lp,
-                                   routing::EngineWorkspace& ws)
-    : g_(g), d_(d), m_(m), model_(model), lp_(lp) {
+namespace {
+
+void check_pair(const AsGraph& g, AsId d, AsId m, SecurityModel model) {
   if (model == SecurityModel::kInsecure) {
     throw std::invalid_argument(
         "classify_sources: partitions are defined for S*BGP models only");
@@ -18,6 +17,37 @@ PartitionContext::PartitionContext(const AsGraph& g, AsId d, AsId m,
   if (d >= g.num_ases() || m >= g.num_ases() || d == m) {
     throw std::invalid_argument("classify_sources: bad (d, m) pair");
   }
+}
+
+}  // namespace
+
+PartitionContext::PartitionContext(
+    const AsGraph& g, AsId d, AsId m, SecurityModel model,
+    const routing::RoutingOutcome& empty_attacked)
+    : g_(g),
+      d_(d),
+      m_(m),
+      model_(model),
+      lp_(LocalPrefPolicy::standard()),
+      base_(&empty_attacked) {
+  check_pair(g, d, m, model);
+  if (model == SecurityModel::kSecurityFirst) {
+    throw std::invalid_argument(
+        "PartitionContext: security 1st classifies by reachability, not "
+        "from the S = emptyset outcome");
+  }
+  if (empty_attacked.num_ases() != g.num_ases()) {
+    throw std::invalid_argument(
+        "PartitionContext: S = emptyset outcome does not match the graph "
+        "size");
+  }
+}
+
+PartitionContext::PartitionContext(const AsGraph& g, AsId d, AsId m,
+                                   SecurityModel model, LocalPrefPolicy lp,
+                                   routing::EngineWorkspace& ws)
+    : g_(g), d_(d), m_(m), model_(model), lp_(lp) {
+  check_pair(g, d, m, model);
   if (model == SecurityModel::kSecurityFirst) {
     // Exact tests (Observations E.3/E.4): doomed iff d is perceivably
     // unreachable once m is removed; immune if m is perceivably unreachable

@@ -29,6 +29,7 @@
 #include "routing/reach.h"
 #include "security/pair_outcomes.h"
 #include "topology/as_graph.h"
+#include "util/checked.h"
 
 namespace sbgp::security {
 
@@ -99,11 +100,13 @@ struct PartitionCounts {
     return *this;
   }
   /// Adds `w` copies of `o` — traffic-weighted accumulation (sim/traffic.h).
+  /// Throws std::overflow_error rather than wrap a counter past 2^64 - 1.
   PartitionCounts& add_scaled(const PartitionCounts& o, std::uint64_t w) {
-    doomed += o.doomed * w;
-    protectable += o.protectable * w;
-    immune += o.immune * w;
-    sources += o.sources * w;
+    util::add_scaled_checked(doomed, o.doomed, w, "PartitionCounts::doomed");
+    util::add_scaled_checked(protectable, o.protectable, w,
+                             "PartitionCounts::protectable");
+    util::add_scaled_checked(immune, o.immune, w, "PartitionCounts::immune");
+    util::add_scaled_checked(sources, o.sources, w, "PartitionCounts::sources");
     return *this;
   }
   [[nodiscard]] bool operator==(const PartitionCounts&) const = default;
@@ -119,17 +122,35 @@ struct PartitionCounts {
   }
 };
 
-/// Deployment-invariant classification state for one (m, d) pair, built
-/// into a caller-provided EngineWorkspace (no allocation in steady state).
-/// Construction runs the model's invariant computation once (baseline
-/// stable state for security 2nd/3rd; two exclusion reachability passes for
-/// security 1st); individual sources are then classified in O(deg(v)).
+/// Deployment-invariant classification state for one (m, d) pair;
+/// individual sources are then classified in O(deg(v)).
+///
+/// Security 2nd/3rd under the standard LP ladder classify off the
+/// S = emptyset attacked stable state ({d, m, kInsecure} with no
+/// deployment), reading only each AS's route type, length and reach flags.
+/// The fused pipeline (sim/pair_analysis.h) already computes that state
+/// once per pair — seeded from the per-destination S = emptyset baseline
+/// in a grouped sweep — and hands it to the outcome-taking constructor, so
+/// no per-pair partition computation remains there.
+///
+/// The workspace constructor computes its own invariant state into a
+/// caller-provided EngineWorkspace (no allocation in steady state): the
+/// LP-ladder baseline into ws.baseline for security 2nd/3rd (the only path
+/// for LPk ladders), or two exclusion reachability passes into
+/// ws.reach_d / ws.reach_m for security 1st.
 class PartitionContext {
  public:
   /// Throws std::invalid_argument on a bad (d, m) pair or the kInsecure
   /// model (partitions are only defined for the S*BGP models).
   PartitionContext(const AsGraph& g, AsId d, AsId m, SecurityModel model,
                    LocalPrefPolicy lp, routing::EngineWorkspace& ws);
+
+  /// Standard-ladder security 2nd/3rd context over a precomputed
+  /// S = emptyset attacked outcome, which must outlive the context. Throws
+  /// std::invalid_argument for security 1st or kInsecure, a bad (d, m)
+  /// pair, or an outcome sized for a different graph.
+  PartitionContext(const AsGraph& g, AsId d, AsId m, SecurityModel model,
+                   const routing::RoutingOutcome& empty_attacked);
 
   [[nodiscard]] PartitionClass classify(AsId v) const;
 
@@ -142,7 +163,7 @@ class PartitionContext {
   AsId m_;
   SecurityModel model_;
   LocalPrefPolicy lp_;
-  // Security 2nd/3rd: the S = emptyset stable state (ws.baseline).
+  // Security 2nd/3rd: the S = emptyset attacked stable state.
   const routing::RoutingOutcome* base_ = nullptr;
   // Security 1st: exclusion reachability (ws.reach_d / ws.reach_m).
   const routing::PerceivableDistances* to_d_avoiding_m_ = nullptr;

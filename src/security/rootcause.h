@@ -20,6 +20,7 @@
 #include "routing/model.h"
 #include "security/pair_outcomes.h"
 #include "topology/as_graph.h"
+#include "util/checked.h"
 
 namespace sbgp::security {
 
@@ -52,16 +53,25 @@ struct RootCauseStats {
     return *this;
   }
   /// Adds `w` copies of `o` — traffic-weighted accumulation (sim/traffic.h).
+  /// Throws std::overflow_error rather than wrap a counter past 2^64 - 1.
   RootCauseStats& add_scaled(const RootCauseStats& o, std::uint64_t w) {
-    sources += o.sources * w;
-    secure_normal += o.secure_normal * w;
-    downgraded += o.downgraded * w;
-    secure_wasted += o.secure_wasted * w;
-    secure_protecting += o.secure_protecting * w;
-    collateral_benefits += o.collateral_benefits * w;
-    collateral_damages += o.collateral_damages * w;
-    happy_baseline += o.happy_baseline * w;
-    happy_deployed += o.happy_deployed * w;
+    util::add_scaled_checked(sources, o.sources, w, "RootCauseStats::sources");
+    util::add_scaled_checked(secure_normal, o.secure_normal, w,
+                             "RootCauseStats::secure_normal");
+    util::add_scaled_checked(downgraded, o.downgraded, w,
+                             "RootCauseStats::downgraded");
+    util::add_scaled_checked(secure_wasted, o.secure_wasted, w,
+                             "RootCauseStats::secure_wasted");
+    util::add_scaled_checked(secure_protecting, o.secure_protecting, w,
+                             "RootCauseStats::secure_protecting");
+    util::add_scaled_checked(collateral_benefits, o.collateral_benefits, w,
+                             "RootCauseStats::collateral_benefits");
+    util::add_scaled_checked(collateral_damages, o.collateral_damages, w,
+                             "RootCauseStats::collateral_damages");
+    util::add_scaled_checked(happy_baseline, o.happy_baseline, w,
+                             "RootCauseStats::happy_baseline");
+    util::add_scaled_checked(happy_deployed, o.happy_deployed, w,
+                             "RootCauseStats::happy_deployed");
     return *this;
   }
   [[nodiscard]] bool operator==(const RootCauseStats&) const = default;

@@ -106,7 +106,7 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
         "accumulate_pair_into: attacker == destination");
   }
   ++acc.pairs;
-  acc.weight += weight;
+  util::add_scaled_checked(acc.weight, weight, 1, "PairStats::weight");
 
   // Per-destination baseline cache. A hit requires the exact (token, d)
   // pair; the token is minted per sweep, so deployments, configs and
@@ -168,15 +168,48 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
   if (cfg.analyses.intersects(kNeedsNormal) && po.normal == nullptr) {
     po.normal = &ensure_normal();
   }
-  // The partition state owns ws.baseline (or the reach buffers for
-  // security 1st), which no other outcome above touches, so it can coexist
-  // with all of them.
+  // Security 2nd/3rd partitions under the standard ladder — including the
+  // downgrade immunity check, which always uses it (matching
+  // analyze_downgrades) — classify off the S = emptyset attacked state.
   const bool wants_partitions = cfg.analyses.contains(Analysis::kPartitions);
   const bool wants_downgrades = cfg.analyses.contains(Analysis::kDowngrades);
   const bool lp_standard = cfg.lp.kind == LocalPrefPolicy::Kind::kStandard;
+  const bool empty_classifies = cfg.model == SecurityModel::kSecuritySecond ||
+                                cfg.model == SecurityModel::kSecurityThird;
+  if (cfg.analyses.intersects(kNeedsAttackedEmpty) ||
+      (empty_classifies &&
+       (wants_downgrades || (wants_partitions && lp_standard)))) {
+    const routing::Query eq{d, m, SecurityModel::kInsecure};
+    if (cached) {
+      // The insecure S = emptyset instance is always seedable (security
+      // never ranks), so the attacked-empty outcome also amortizes to an
+      // incremental derivation per attacker.
+      if (!db.has_insecure_empty) {
+        routing::compute_routing_into(
+            g, {d, routing::kNoAs, SecurityModel::kInsecure}, {}, ws,
+            db.insecure_empty);
+        db.has_insecure_empty = true;
+      }
+      routing::compute_routing_seeded_into(g, eq, {}, ws, db.insecure_empty,
+                                           ws.attacked_empty);
+    } else {
+      routing::compute_routing_into(g, eq, {}, ws, ws.attacked_empty);
+    }
+    po.attacked_empty = &ws.attacked_empty;
+  }
+
+  // LPk ladders and security 1st build their own invariant state (into
+  // ws.baseline or the reach buffers, which no outcome above touches).
   std::optional<security::PartitionContext> partition;
+  const auto make_partition = [&](LocalPrefPolicy lp) {
+    if (empty_classifies && lp.kind == LocalPrefPolicy::Kind::kStandard) {
+      partition.emplace(g, d, m, cfg.model, ws.attacked_empty);
+    } else {
+      partition.emplace(g, d, m, cfg.model, lp, ws);
+    }
+  };
   if (wants_partitions) {
-    partition.emplace(g, d, m, cfg.model, cfg.lp, ws);
+    make_partition(cfg.lp);
     po.partition = &*partition;
     security::PartitionCounts local;
     security::accumulate_into(po, local);
@@ -184,39 +217,7 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
     acc.w_partitions.add_scaled(local, weight);
   }
   if (wants_downgrades && (!partition || !lp_standard)) {
-    // The downgrade immunity check always uses the standard LP ladder
-    // (matching analyze_downgrades); rebuild only if the partition
-    // analysis ran with a different ladder.
-    partition.emplace(g, d, m, cfg.model, LocalPrefPolicy::standard(), ws);
-  }
-
-  if (cfg.analyses.intersects(kNeedsAttackedEmpty)) {
-    if (partition && (wants_downgrades || lp_standard) &&
-        cfg.model != SecurityModel::kSecurityFirst) {
-      // The standard-LP partition state for security 2nd/3rd already
-      // computed the S = emptyset attacked stable state into ws.baseline,
-      // and routing_equivalence_test asserts it matches the main engine's
-      // bit for bit — no extra engine run needed.
-      po.attacked_empty = &ws.baseline;
-    } else {
-      const routing::Query eq{d, m, SecurityModel::kInsecure};
-      if (cached) {
-        // The insecure S = emptyset instance is always seedable (security
-        // never ranks), so the attacked-empty outcome also amortizes to an
-        // incremental derivation per attacker.
-        if (!db.has_insecure_empty) {
-          routing::compute_routing_into(
-              g, {d, routing::kNoAs, SecurityModel::kInsecure}, {}, ws,
-              db.insecure_empty);
-          db.has_insecure_empty = true;
-        }
-        routing::compute_routing_seeded_into(g, eq, {}, ws, db.insecure_empty,
-                                             ws.attacked_empty);
-      } else {
-        routing::compute_routing_into(g, eq, {}, ws, ws.attacked_empty);
-      }
-      po.attacked_empty = &ws.attacked_empty;
-    }
+    make_partition(LocalPrefPolicy::standard());
   }
 
   if (cfg.analyses.contains(Analysis::kHappiness)) {

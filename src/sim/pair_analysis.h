@@ -13,9 +13,10 @@
 // Engine computations per pair, fused vs. standalone, all five analyses:
 //   standalone  happiness 1 + partitions 1 + downgrades 3 + collateral 2
 //               + root causes 3 = 10
-//   fused       attacked + normal + partition state = 3 (the standard-LP
-//               partition state for security 2nd/3rd doubles as the
-//               S = emptyset attacked outcome; 4 otherwise)
+//   fused       attacked + normal + S = emptyset attacked = 3 (the
+//               standard-LP partition context for security 2nd/3rd reads
+//               the S = emptyset attacked outcome; LPk and security 1st
+//               partitions add their own invariant state, 4)
 //
 // On top of the fusing, the sweep API is *destination-grouped*: a SweepPlan
 // organizes the pairs as DestinationGroup units so that every attacker of
@@ -25,7 +26,9 @@
 // at most once per (destination, worker) and every attacked outcome the
 // model admits is then derived incrementally from them
 // (routing::compute_routing_seeded_into) — bit-for-bit identical to the
-// full engine, several times cheaper per pair.
+// full engine, several times cheaper per pair. The S = emptyset attacked
+// outcome is computed at most once per pair and shared by collateral, root
+// causes, and the partition and downgrade contexts.
 //
 // Determinism contract: PairStats is all integers, so per-worker partials
 // merge to bit-for-bit identical totals for any thread count (see
@@ -46,6 +49,7 @@
 #include "security/rootcause.h"
 #include "sim/traffic.h"
 #include "topology/as_graph.h"
+#include "util/checked.h"
 
 namespace sbgp::routing {
 class EngineWorkspace;
@@ -154,12 +158,13 @@ struct PairStats {
     downgrades += o.downgrades;
     collateral += o.collateral;
     root_causes += o.root_causes;
-    weight += o.weight;
-    w_happiness += o.w_happiness;
-    w_partitions += o.w_partitions;
-    w_downgrades += o.w_downgrades;
-    w_collateral += o.w_collateral;
-    w_root_causes += o.w_root_causes;
+    // Weighted sums can approach 2^64 (sim/traffic.h); merge them checked.
+    util::add_scaled_checked(weight, o.weight, 1, "PairStats::weight");
+    w_happiness.add_scaled(o.w_happiness, 1);
+    w_partitions.add_scaled(o.w_partitions, 1);
+    w_downgrades.add_scaled(o.w_downgrades, 1);
+    w_collateral.add_scaled(o.w_collateral, 1);
+    w_root_causes.add_scaled(o.w_root_causes, 1);
     return *this;
   }
   [[nodiscard]] bool operator==(const PairStats&) const = default;

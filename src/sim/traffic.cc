@@ -3,6 +3,7 @@
 #include <charconv>
 #include <stdexcept>
 
+#include "util/checked.h"
 #include "util/rng.h"
 
 namespace sbgp::sim {
@@ -34,7 +35,12 @@ std::uint64_t as_mass(const TrafficModel& model, routing::AsId v) {
 std::uint64_t pair_weight(const TrafficModel& model, routing::AsId m,
                           routing::AsId d) {
   if (model.kind == TrafficModel::Kind::kUniform) return model.scale;
-  return as_mass(model, m) * as_mass(model, d) * model.scale;
+  std::uint64_t w = 0;
+  if (__builtin_mul_overflow(as_mass(model, m), as_mass(model, d), &w) ||
+      __builtin_mul_overflow(w, model.scale, &w)) {
+    util::throw_counter_overflow("pair_weight(" + to_string(model) + ")");
+  }
+  return w;
 }
 
 std::string to_string(const TrafficModel& model) {

@@ -24,7 +24,9 @@
 // the unweighted PairStats counters. Overflow bound: a pair weight is at
 // most max_mass^2 * scale (<= 2^32 * scale at the default max_mass), so
 // per-cell weighted sums stay far below 2^64 for any realistic sample
-// grid.
+// grid. Past it nothing wraps: pair_weight and every weighted counter
+// throw std::overflow_error naming the value and the 2^64 - 1 limit
+// (util/checked.h), which a campaign reports as a failed cell.
 #ifndef SBGP_SIM_TRAFFIC_H
 #define SBGP_SIM_TRAFFIC_H
 
@@ -72,6 +74,7 @@ void validate_traffic_model(const TrafficModel& model);
 
 /// The weight of pair (attacker m, destination d). Uniform: scale.
 /// Gravity: as_mass(m) * as_mass(d) * scale.
+/// Throws std::overflow_error if the product exceeds 2^64 - 1.
 [[nodiscard]] std::uint64_t pair_weight(const TrafficModel& model,
                                         routing::AsId m, routing::AsId d);
 

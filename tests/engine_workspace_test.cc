@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "routing/baseline.h"
 #include "routing/engine.h"
 #include "routing/reach.h"
 #include "security/partition.h"
 #include "test_support.h"
 #include "topology/generator.h"
+#include "topology/registry.h"
 
 namespace sbgp::routing {
 namespace {
@@ -92,6 +96,29 @@ TEST(EngineWorkspace, ReachMatchesAllocatingVariant) {
   EXPECT_EQ(fresh2.provider, ws.reach_d.provider);
 }
 
+/// For security 2nd/3rd, a context over the S = emptyset attacked outcome
+/// ({d, m, kInsecure}, no deployment) must classify exactly like the
+/// workspace context that computes its own standard-ladder baseline.
+void expect_outcome_context_matches(const topology::AsGraph& g, AsId d, AsId m,
+                                    EngineWorkspace& ws) {
+  RoutingOutcome empty_attacked;
+  compute_routing_into(g, {d, m, SecurityModel::kInsecure}, {}, ws,
+                       empty_attacked);
+  for (const auto model :
+       {SecurityModel::kSecuritySecond, SecurityModel::kSecurityThird}) {
+    SCOPED_TRACE(std::string(to_string(model)) + " d=" + std::to_string(d) +
+                 " m=" + std::to_string(m));
+    const security::PartitionContext from_outcome(g, d, m, model,
+                                                  empty_attacked);
+    const security::PartitionContext from_ws(
+        g, d, m, model, LocalPrefPolicy::standard(), ws);
+    for (AsId v = 0; v < g.num_ases(); ++v) {
+      ASSERT_EQ(from_ws.classify(v), from_outcome.classify(v)) << "AS " << v;
+    }
+    EXPECT_EQ(from_ws.counts(), from_outcome.counts());
+  }
+}
+
 TEST(EngineWorkspace, PartitionContextMatchesClassifySources) {
   util::Rng rng(31);
   EngineWorkspace ws;
@@ -108,6 +135,49 @@ TEST(EngineWorkspace, PartitionContextMatchesClassifySources) {
     EXPECT_EQ(counts.doomed + counts.protectable + counts.immune,
               counts.sources);
   }
+  expect_outcome_context_matches(g, 4, 90, ws);
+  for (int i = 0; i < 8; ++i) {
+    const auto d = static_cast<AsId>(rng.next_below(g.num_ases()));
+    auto m = static_cast<AsId>(rng.next_below(g.num_ases()));
+    if (m == d) m = (m + 1) % g.num_ases();
+    expect_outcome_context_matches(g, d, m, ws);
+  }
+}
+
+TEST(EngineWorkspace, OutcomeContextMatchesWorkspaceContextOnTiny500) {
+  const auto topo = topology::generate_trial("tiny-500", 20130812, 0);
+  const auto& g = topo.graph;
+  util::Rng rng(500);
+  EngineWorkspace ws;
+  for (int i = 0; i < 8; ++i) {
+    const auto d = static_cast<AsId>(rng.next_below(g.num_ases()));
+    auto m = static_cast<AsId>(rng.next_below(g.num_ases()));
+    if (m == d) m = (m + 1) % g.num_ases();
+    expect_outcome_context_matches(g, d, m, ws);
+  }
+}
+
+TEST(EngineWorkspace, OutcomeContextRejectsInvalidInputs) {
+  util::Rng rng(17);
+  EngineWorkspace ws;
+  const auto g = random_gr_graph(60, rng);
+  RoutingOutcome empty_attacked;
+  compute_routing_into(g, {3, 40, SecurityModel::kInsecure}, {}, ws,
+                       empty_attacked);
+  using security::PartitionContext;
+  EXPECT_THROW(PartitionContext(g, 3, 40, SecurityModel::kSecurityFirst,
+                                empty_attacked),
+               std::invalid_argument);
+  EXPECT_THROW(
+      PartitionContext(g, 3, 40, SecurityModel::kInsecure, empty_attacked),
+      std::invalid_argument);
+  EXPECT_THROW(
+      PartitionContext(g, 3, 3, SecurityModel::kSecurityThird, empty_attacked),
+      std::invalid_argument);
+  const RoutingOutcome wrong_size(g.num_ases() + 1);
+  EXPECT_THROW(
+      PartitionContext(g, 3, 40, SecurityModel::kSecuritySecond, wrong_size),
+      std::invalid_argument);
 }
 
 TEST(EngineWorkspace, OutcomeResetClearsPreviousState) {

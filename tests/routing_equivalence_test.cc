@@ -154,22 +154,33 @@ TEST(EquivalenceInternet, EngineMatchesReferenceOnGeneratedTopology) {
 }
 
 TEST_P(EquivalenceTest, BaselineEngineMatchesMainEngine) {
-  // compute_baseline with the standard ladder must agree with the main
-  // engine at S = emptyset, bit for bit.
+  // Three computations of the S = emptyset attacked state must agree on
+  // every packed word (type, reach/secure flags, reserved bits, length):
+  // compute_baseline with the standard ladder, the full insecure engine,
+  // and the seeded delta from the {d, kNoAs, kInsecure} baseline. The
+  // fused pipeline's partition contexts rely on this: they classify off
+  // the seeded delta where the standalone analyses use compute_baseline.
   const auto [n, seed] = GetParam();
   util::Rng rng(seed + 1000);
   const AsGraph g = random_gr_graph(n, rng);
+  EngineWorkspace ws(n);
+  RoutingOutcome no_attack, seeded;
   for (int trial = 0; trial < 3; ++trial) {
     const auto d = static_cast<AsId>(rng.next_below(n));
     auto m = static_cast<AsId>(rng.next_below(n));
     if (m == d) m = (m + 1) % n;
     const auto base = compute_baseline(g, d, m);
     const auto eng = compute_routing(g, {d, m, SecurityModel::kInsecure}, {});
+    compute_routing_into(g, {d, kNoAs, SecurityModel::kInsecure}, {}, ws,
+                         no_attack);
+    compute_routing_seeded_into(g, {d, m, SecurityModel::kInsecure}, {}, ws,
+                                no_attack, seeded);
+    ASSERT_EQ(base.num_ases(), n);
+    ASSERT_EQ(eng.num_ases(), n);
+    ASSERT_EQ(seeded.num_ases(), n);
     for (AsId v = 0; v < n; ++v) {
-      ASSERT_EQ(base.type(v), eng.type(v)) << v;
-      ASSERT_EQ(base.length(v), eng.length(v)) << v;
-      ASSERT_EQ(base.reaches_destination(v), eng.reaches_destination(v)) << v;
-      ASSERT_EQ(base.reaches_attacker(v), eng.reaches_attacker(v)) << v;
+      ASSERT_EQ(base.packed_word(v), eng.packed_word(v)) << v;
+      ASSERT_EQ(seeded.packed_word(v), eng.packed_word(v)) << v;
     }
   }
 }

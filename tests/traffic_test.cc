@@ -6,7 +6,9 @@
 // in every metric ratio). The legacy per-trial header is pinned as a
 // literal string so a schema drift in the uniform-weight layout — the one
 // committed baselines and old cache entries depend on — cannot slip
-// through silently.
+// through silently. The TrafficOverflow suite pins the exact-or-reject
+// contract: a weight or weighted counter past 2^64 - 1 throws, and a
+// campaign reports the cell as failed instead of emitting a wrapped row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +19,11 @@
 #include <vector>
 
 #include "deployment/scenario.h"
+#include "security/collateral.h"
+#include "security/downgrade.h"
+#include "security/happiness.h"
+#include "security/partition.h"
+#include "security/rootcause.h"
 #include "sim/campaign.h"
 #include "sim/campaign_io.h"
 #include "sim/traffic.h"
@@ -240,6 +247,84 @@ TEST(TrafficEquivalence, GravityWeightsActuallyDiffer) {
     any_nonuniform = any_nonuniform || !is_uniform_weight(tr);
   }
   EXPECT_TRUE(any_nonuniform);
+}
+
+/// The overflow probe: heavy-tailed masses up to 2^32 with a 2^62 scale.
+TrafficModel overflow_probe_model() {
+  TrafficModel m;
+  m.kind = TrafficModel::Kind::kGravity;
+  m.max_mass = std::uint64_t{1} << 32;
+  m.scale = std::uint64_t{1} << 62;
+  return m;
+}
+
+TEST(TrafficOverflow, AddScaledThrowsInsteadOfWrapping) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  security::PartitionCounts two;
+  two.doomed = 2;
+  two.sources = 2;
+  security::PartitionCounts acc;
+  try {
+    acc.add_scaled(two, kHalf);
+    FAIL() << "2 * 2^63 must not wrap";
+  } catch (const std::overflow_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("PartitionCounts::doomed"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("2^64"), std::string::npos) << msg;
+  }
+  // One copy of 2^63 fits; a second one overflows the sum, not the product.
+  security::HappyTotals one;
+  one.sources = 1;
+  security::HappyTotals sum;
+  sum.add_scaled(one, kHalf);
+  EXPECT_EQ(sum.sources, kHalf);
+  EXPECT_THROW(sum.add_scaled(one, kHalf), std::overflow_error);
+  EXPECT_EQ(sum.sources, kHalf);  // unchanged by the rejected add
+  EXPECT_THROW(security::DowngradeStats{}.add_scaled({.sources = 2}, kHalf),
+               std::overflow_error);
+  EXPECT_THROW(
+      security::CollateralStats{}.add_scaled({.insecure_sources = 2}, kHalf),
+      std::overflow_error);
+  EXPECT_THROW(security::RootCauseStats{}.add_scaled({.sources = 2}, kHalf),
+               std::overflow_error);
+}
+
+TEST(TrafficOverflow, PairWeightRejectsTheProbeModel) {
+  const TrafficModel m = overflow_probe_model();
+  EXPECT_NO_THROW(validate_traffic_model(m));
+  std::size_t rejected = 0;
+  for (routing::AsId a = 0; a < 40; ++a) {
+    for (routing::AsId d = 0; d < 40; ++d) {
+      const unsigned __int128 exact =
+          static_cast<unsigned __int128>(as_mass(m, a)) * as_mass(m, d) *
+          m.scale;
+      if (exact >> 64 == 0) {
+        EXPECT_EQ(pair_weight(m, a, d), static_cast<std::uint64_t>(exact));
+        continue;
+      }
+      ++rejected;
+      try {
+        (void)pair_weight(m, a, d);
+        ADD_FAILURE() << "pair (" << a << ", " << d << ") wrapped";
+      } catch (const std::overflow_error& e) {
+        EXPECT_NE(std::string(e.what()).find("2^64"), std::string::npos);
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(TrafficOverflow, CampaignReportsFailedCellsNotRows) {
+  // Under the default failure isolation an overflowing weighted counter
+  // fails its own (trial, spec) cell; no wrapped row is ever emitted.
+  CampaignSpec campaign = equivalence_campaign(overflow_probe_model());
+  campaign.experiments.resize(1);
+  const CampaignResult result = run_campaign(campaign);
+  EXPECT_TRUE(result.trial_rows.empty());
+  ASSERT_EQ(result.failed_cells.size(), campaign.trials);
+  for (const FailedCell& cell : result.failed_cells) {
+    EXPECT_NE(cell.error.find("2^64"), std::string::npos) << cell.error;
+  }
 }
 
 }  // namespace
