@@ -1,7 +1,9 @@
 #include "routing/engine.h"
 
+#include <array>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "routing/bucket_queue.h"
 #include "routing/workspace.h"
@@ -470,33 +472,54 @@ bool routing_seed_applicable(const Query& q, const Deployment& deployment) {
           !deployment.signs_origin(q.destination));
 }
 
-void compute_routing_seeded_into(const AsGraph& g, const Query& q,
-                                 const Deployment& deployment,
-                                 EngineWorkspace& ws,
-                                 const RoutingOutcome& baseline,
-                                 RoutingOutcome& result) {
-  const std::size_t n = g.num_ases();
-  if (q.destination >= n) {
-    throw std::invalid_argument("compute_routing_seeded_into: bad destination");
-  }
-  if (q.attacker == kNoAs || q.attacker >= n ||
-      q.attacker == q.destination) {
-    throw std::invalid_argument("compute_routing_seeded_into: bad attacker");
-  }
-  if (!routing_seed_applicable(q, deployment)) {
-    throw std::invalid_argument(
-        "compute_routing_seeded_into: secure routes through the attacker "
-        "could be displaced under this model; use compute_routing_into");
-  }
-  if (baseline.num_ases() != n) {
-    throw std::invalid_argument(
-        "compute_routing_seeded_into: baseline/graph size mismatch");
-  }
-  assert(&baseline != &result);
+namespace {
 
-  result = baseline;
-  Ctx ctx(g, deployment, q.model, q.destination, q.attacker, ws, result,
-          Ctx::Seeded{});
+/// The delta body behind both seeded entry points. Lane 0 is the query's
+/// own attacked state; compute_routing_seeded_twin_into adds the S =
+/// emptyset attacked state of the same (d, m) as a second lane. All lanes
+/// agree on every route type and length, so they share every ordering and
+/// length decision (read off lane 0) and differ only in the flags and next
+/// hops their own Candidates scans produce. Every lane's `out` already
+/// holds its baseline; `attacker` is the validated m.
+template <std::size_t kLanes>
+void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
+                  EngineWorkspace& ws) {
+  Ctx& ctx = *lanes[0];
+  const std::size_t n = ctx.g.num_ases();
+
+  using Snapshot = std::array<RankState, kLanes>;
+  using LaneCandidates = std::array<Candidates, kLanes>;
+  const auto snapshot = [&](AsId v) {
+    Snapshot s;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      s[i] = rank_state(lanes[i]->out, v);
+    }
+    return s;
+  };
+  // A re-derived AS propagates when any lane's rank state changed.
+  // Re-deriving a consumer whose inputs did not change in some lane
+  // reproduces that lane's bytes, so working through the union of the
+  // lanes' dirty sets keeps every lane exact.
+  const auto differs = [&](const Snapshot& before, AsId v) {
+    bool any = false;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      any |= rank_state_differs(before[i], lanes[i]->out, v);
+    }
+    return any;
+  };
+  // One neighbor scan feeds every lane, each with its own security.
+  const auto add = [&](LaneCandidates& cands, AsId v, AsId via) {
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const Ctx& lane = *lanes[i];
+      cands[i].add(lane, via, lane.validates(v) && lane.secure_source(via));
+    }
+  };
+  const auto fix = [&](const LaneCandidates& cands, AsId v, RouteType t,
+                       std::uint32_t len) {
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      cands[i].fix(*lanes[i], v, t, static_cast<std::uint16_t>(len));
+    }
+  };
 
   // Epoch-stamped per-phase marks: O(changed) per call, no O(V) clears.
   if (ws.seen.size() < n) ws.seen.resize(n, 0);
@@ -544,11 +567,13 @@ void compute_routing_seeded_into(const AsGraph& g, const Query& q,
   // BGP), replacing whatever baseline route m held. As a customer-stage
   // exporter m is at least as attractive as before: a baseline
   // customer-stage route at m had length >= 1.
-  ctx.out.fix(q.attacker, RouteType::kOrigin, 1, /*reach_d=*/false,
-              /*reach_m=*/true, /*secure=*/false, kNoAs, kNoAs);
-  ctx.fixed[q.attacker] = 1;
-  ws.changed.push_back(q.attacker);
-  push_neighbors(q.attacker);
+  for (Ctx* lane : lanes) {
+    lane->out.fix(attacker, RouteType::kOrigin, 1, /*reach_d=*/false,
+                  /*reach_m=*/true, /*secure=*/false, kNoAs, kNoAs);
+  }
+  ctx.fixed[attacker] = 1;
+  ws.changed.push_back(attacker);
+  push_neighbors(attacker);
 
   // --- Customer-stage delta (FCR) ---------------------------------------
   // Re-derives each touched AS with the engine's exact candidate filter,
@@ -566,19 +591,18 @@ void compute_routing_seeded_into(const AsGraph& g, const Query& q,
       best = std::min(best, ctx.out.length(c) + 1u);
     }
     if (best == kNoRouteLength) continue;  // v is not fixed in this stage
-    const RankState before = rank_state(ctx.out, v);
-    Candidates cands;
+    const Snapshot before = snapshot(v);
+    LaneCandidates cands;
     for (const AsId c : ctx.g.customers(v)) {
       if (!ctx.exports_up(c)) continue;
       if (ctx.out.length(c) + 1u != best) continue;
-      cands.add(ctx, c, ctx.validates(v) && ctx.secure_source(c));
+      add(cands, v, c);
     }
-    assert(cands.any);
     // Commit unconditionally: the tie set may have gained a member that
     // changes only the representative next hops, and next hops never feed
     // neighbors — so propagation keys off the rank state alone.
-    cands.fix(ctx, v, RouteType::kCustomer, static_cast<std::uint16_t>(best));
-    if (rank_state_differs(before, ctx.out, v)) {
+    fix(cands, v, RouteType::kCustomer, best);
+    if (differs(before, v)) {
       ws.changed.push_back(v);
       push_neighbors(v);
     }
@@ -602,23 +626,26 @@ void compute_routing_seeded_into(const AsGraph& g, const Query& q,
       }
     }
     if (best_len == kNoRouteLength) continue;
+    // Only security 2nd (single lane: the twin requires security 3rd)
+    // ranks the secure bucket first.
     const bool prefer_secure_bucket =
         ctx.model == SecurityModel::kSecuritySecond &&
         best_secure_len != kNoRouteLength;
     const std::uint32_t chosen_len =
         prefer_secure_bucket ? best_secure_len : best_len;
-    const RankState before = rank_state(ctx.out, v);
-    Candidates cands;
+    const Snapshot before = snapshot(v);
+    LaneCandidates cands;
     for (const AsId u : ctx.g.peers(v)) {
       if (!ctx.exports_up(u)) continue;
       if (ctx.out.length(u) + 1u != chosen_len) continue;
-      const bool secure = ctx.validates(v) && ctx.secure_source(u);
-      if (prefer_secure_bucket && !secure) continue;
-      cands.add(ctx, u, secure);
+      if (prefer_secure_bucket &&
+          !(ctx.validates(v) && ctx.secure_source(u))) {
+        continue;
+      }
+      add(cands, v, u);
     }
-    assert(cands.any);
-    cands.fix(ctx, v, RouteType::kPeer, static_cast<std::uint16_t>(chosen_len));
-    if (rank_state_differs(before, ctx.out, v)) ws.changed.push_back(v);
+    fix(cands, v, RouteType::kPeer, chosen_len);
+    if (differs(before, v)) ws.changed.push_back(v);
   }
 
   // --- Provider-stage delta (FPrvR) -------------------------------------
@@ -718,25 +745,103 @@ void compute_routing_seeded_into(const AsGraph& g, const Query& q,
         // No provider route in the attacked instance; drop any stale one.
         // (Customers needing a recheck were already listed via ws.dirty.)
         if (ctx.out.type(v) != RouteType::kNone) {
-          ctx.out.fix(v, RouteType::kNone, kNoRouteLength, /*reach_d=*/false,
-                      /*reach_m=*/false, /*secure=*/false, kNoAs, kNoAs);
+          for (Ctx* lane : lanes) {
+            lane->out.fix(v, RouteType::kNone, kNoRouteLength,
+                          /*reach_d=*/false, /*reach_m=*/false,
+                          /*secure=*/false, kNoAs, kNoAs);
+          }
         }
         continue;
       }
-      const RankState before = rank_state(ctx.out, v);
-      Candidates cands;
+      const Snapshot before = snapshot(v);
+      LaneCandidates cands;
       for (const AsId p : ctx.g.providers(v)) {
         if (ws.dist[p] == kNoRouteLength) continue;
         if (ws.dist[p] + 1u != len) continue;
-        cands.add(ctx, p, ctx.validates(v) && ctx.secure_source(p));
+        add(cands, v, p);
       }
-      assert(cands.any);
-      cands.fix(ctx, v, RouteType::kProvider, static_cast<std::uint16_t>(len));
-      if (rank_state_differs(before, ctx.out, v)) {
+      fix(cands, v, RouteType::kProvider, len);
+      if (differs(before, v)) {
         for (const AsId c : ctx.g.customers(v)) add_restate(c);
       }
     }
   }
+}
+
+/// Query and baseline checks shared by the seeded entry points; `who`
+/// prefixes the message.
+void validate_seeded(const char* who, const AsGraph& g, const Query& q,
+                     const Deployment& deployment,
+                     const RoutingOutcome& baseline) {
+  const auto fail = [who](const char* what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  const std::size_t n = g.num_ases();
+  if (q.destination >= n) fail("bad destination");
+  if (q.attacker == kNoAs || q.attacker >= n || q.attacker == q.destination) {
+    fail("bad attacker");
+  }
+  if (!routing_seed_applicable(q, deployment)) {
+    fail("secure routes through the attacker could be displaced under this "
+         "model; use compute_routing_into");
+  }
+  if (baseline.num_ases() != n) fail("baseline/graph size mismatch");
+}
+
+}  // namespace
+
+void compute_routing_seeded_into(const AsGraph& g, const Query& q,
+                                 const Deployment& deployment,
+                                 EngineWorkspace& ws,
+                                 const RoutingOutcome& baseline,
+                                 RoutingOutcome& result) {
+  validate_seeded("compute_routing_seeded_into", g, q, deployment, baseline);
+  assert(&baseline != &result);
+  result = baseline;
+  Ctx ctx(g, deployment, q.model, q.destination, q.attacker, ws, result,
+          Ctx::Seeded{});
+  seeded_delta<1>({&ctx}, q.attacker, ws);
+}
+
+void compute_routing_seeded_twin_into(const AsGraph& g, const Query& q,
+                                      const Deployment& deployment,
+                                      EngineWorkspace& ws,
+                                      const RoutingOutcome& baseline,
+                                      const RoutingOutcome& insecure_baseline,
+                                      RoutingOutcome& result,
+                                      RoutingOutcome& insecure_result) {
+  constexpr const char* kWho = "compute_routing_seeded_twin_into";
+  if (q.model != SecurityModel::kSecurityThird) {
+    throw std::invalid_argument(
+        std::string(kWho) +
+        ": the twin lane requires security 3rd, the only model whose route "
+        "types and lengths do not depend on the deployment");
+  }
+  validate_seeded(kWho, g, q, deployment, baseline);
+  const std::size_t n = g.num_ases();
+  if (insecure_baseline.num_ases() != n) {
+    throw std::invalid_argument(std::string(kWho) +
+                                ": insecure baseline/graph size mismatch");
+  }
+  for (AsId v = 0; v < n; ++v) {
+    if (baseline.type(v) != insecure_baseline.type(v) ||
+        baseline.length(v) != insecure_baseline.length(v)) {
+      throw std::invalid_argument(
+          std::string(kWho) +
+          ": baselines disagree on the route type or length of AS " +
+          std::to_string(v));
+    }
+  }
+  assert(&baseline != &result && &insecure_baseline != &insecure_result &&
+         &result != &insecure_result);
+  result = baseline;
+  insecure_result = insecure_baseline;
+  const Deployment empty;
+  Ctx ctx(g, deployment, q.model, q.destination, q.attacker, ws, result,
+          Ctx::Seeded{});
+  Ctx twin(g, empty, SecurityModel::kInsecure, q.destination, q.attacker, ws,
+           insecure_result, Ctx::Seeded{});
+  seeded_delta<2>({&ctx, &twin}, q.attacker, ws);
 }
 
 const RoutingOutcome& compute_routing_with_hysteresis(

@@ -233,6 +233,21 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
 // The result is bit-for-bit identical to a full compute_routing_into of
 // the same query.
 //
+// Twin lane. Under security 3rd, security only breaks ties, so every AS's
+// route type and length is the same for any deployment S (Appendix E.1):
+// the attacked state and the S = emptyset attacked state of one (d, m)
+// differ only in flags and next hops. compute_routing_seeded_twin_into
+// derives both in one traversal. The customer-heap order, the peer
+// touched-list, the provider dist/rhs fixpoint and the restate queue read
+// only types and lengths, so one copy serves both lanes; each re-derived
+// AS runs one neighbor scan feeding two candidate sets (the twin lane
+// never validates), and a change propagates when either lane's packed
+// word changed. Because both lanes pop in the same order, every supplier
+// is final in both lanes before its consumers re-derive, and re-deriving
+// an AS whose inputs did not change in one lane reproduces that lane's
+// bytes — so each lane is bit-for-bit identical to its own full
+// compute_routing_into.
+//
 // In kSecurityFirst / kSecuritySecond with a signed origin the secure
 // stages (FSCR/FSPeeR/FSPrvR) also run, and their interleaving is not
 // reproduced here (the attacked instance *removes* m as a secure transit
@@ -257,6 +272,25 @@ void compute_routing_seeded_into(const AsGraph& g, const Query& q,
                                  EngineWorkspace& ws,
                                  const RoutingOutcome& baseline,
                                  RoutingOutcome& result);
+
+/// Twin-lane seeded delta: computes the security-3rd attacked outcome of
+/// `q` into `result` (seeded from `baseline`, as compute_routing_seeded_into)
+/// and, in the same traversal, the S = emptyset attacked outcome
+/// {q.destination, q.attacker, kInsecure} into `insecure_result`, seeded
+/// from `insecure_baseline` — the outcome of {q.destination, kNoAs,
+/// kInsecure} under the empty deployment. Throws std::invalid_argument if
+/// q.model is not kSecurityThird, the query is malformed, a baseline's size
+/// does not match the graph, or the baselines disagree on the route type or
+/// length of some AS (an O(n) check; the message names the first such AS).
+/// No baseline may alias a result, nor the results each other. Uses the
+/// same scratch as compute_routing_seeded_into.
+void compute_routing_seeded_twin_into(const AsGraph& g, const Query& q,
+                                      const Deployment& deployment,
+                                      EngineWorkspace& ws,
+                                      const RoutingOutcome& baseline,
+                                      const RoutingOutcome& insecure_baseline,
+                                      RoutingOutcome& result,
+                                      RoutingOutcome& insecure_result);
 
 /// Convenience: hysteresis outcome into ws.primary.
 const RoutingOutcome& compute_routing_with_hysteresis(

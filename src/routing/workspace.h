@@ -37,7 +37,8 @@ struct DestBaselineSlot {
   /// for compute_routing_seeded_into when the model admits it.
   RoutingOutcome normal;
   /// Outcome of {destination, kNoAs, kInsecure} under S = emptyset — the
-  /// seed for the S = emptyset *attacked* outcome (always seedable).
+  /// seed for the S = emptyset *attacked* outcome (always seedable), alone
+  /// or as the twin lane next to `normal`.
   RoutingOutcome insecure_empty;
 };
 
@@ -66,7 +67,11 @@ struct DestBaselineSlot {
 ///   - `attacked_empty` is the fused pipeline's single S = emptyset
 ///     attacked state ({d, m, kInsecure}), computed at most once per pair
 ///     and read by collateral, root causes and the standard-ladder
-///     security 2nd/3rd PartitionContext built over it.
+///     security 2nd/3rd PartitionContext built over it. Under security
+///     3rd in a grouped sweep the twin-lane delta
+///     (compute_routing_seeded_twin_into) writes it together with
+///     `primary`; under kInsecure the pipeline reads `primary` instead
+///     and leaves the slot alone.
 ///   - `dest_baseline` is owned by the destination-grouped sweep
 ///     (sim::accumulate_pair_into with a non-zero sweep context); no
 ///     engine entry point touches it implicitly.

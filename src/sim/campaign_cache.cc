@@ -25,13 +25,24 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string hex64(std::uint64_t v) {
+/// Appends v as 16 lowercase hex digits.
+void append_hex64(std::string& out, std::uint64_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (std::size_t i = 0; i < 16; ++i) {
-    out[15 - i] = kDigits[(v >> (4 * i)) & 0xF];
+  for (int i = 15; i >= 0; --i) out.push_back(kDigits[(v >> (4 * i)) & 0xF]);
+}
+
+/// Reads all of `fd` into `out`. False on any read error (e.g. EISDIR).
+bool read_all(int fd, std::string& out) {
+  char buf[4096];
+  for (;;) {
+    const ssize_t got = ::read(fd, buf, sizeof buf);
+    if (got == 0) return true;
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    out.append(buf, static_cast<std::size_t>(got));
   }
-  return out;
 }
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -85,8 +96,16 @@ void fsync_path(const fs::path& path, int open_flags) {
 }  // namespace
 
 std::string cache_entry_name(const CacheKey& key) {
-  return "t" + hex64(key.topology_fingerprint) + "-s" + hex64(key.trial_seed) +
-         "-e" + hex64(key.spec_fingerprint) + ".csv";
+  std::string name;
+  name.reserve(3 * (2 + 16) + 3);  // "t" 16 "-s" 16 "-e" 16 ".csv"
+  name.append("t");
+  append_hex64(name, key.topology_fingerprint);
+  name.append("-s");
+  append_hex64(name, key.trial_seed);
+  name.append("-e");
+  append_hex64(name, key.spec_fingerprint);
+  name.append(".csv");
+  return name;
 }
 
 std::uint64_t cache_key_fingerprint(const CacheKey& key) {
@@ -112,31 +131,36 @@ CampaignCache::Stats CampaignCache::stats() const {
 }
 
 std::optional<ExperimentRow> CampaignCache::lookup(const CacheKey& key) {
-  const fs::path path = fs::path(dir_) / cache_entry_name(key);
-  std::ifstream in(path);
-  if (!in.is_open()) {
+  const auto miss = [&](bool corrupt) -> std::optional<ExperimentRow> {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
+    if (corrupt) ++stats_.corrupt;
     ++stats_.misses;
     return std::nullopt;
-  }
+  };
+  // A cold campaign consults the cache once per cell, so a miss costs
+  // exactly one open(2); a hit reads through the same descriptor.
+  std::string path = dir_;
+  if (!path.empty() && path.back() != '/') path.push_back('/');
+  path.append(cache_entry_name(key));
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return miss(/*corrupt=*/false);
+  std::string bytes;
+  const bool read_ok = read_all(fd, bytes);
+  ::close(fd);
+  if (!read_ok) return miss(/*corrupt=*/true);  // e.g. a directory
+  std::istringstream in(std::move(bytes));
   std::vector<CampaignTrialRow> rows;
   try {
     rows = read_trial_rows_csv(in);
   } catch (const std::invalid_argument&) {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.corrupt;
-    ++stats_.misses;
-    return std::nullopt;
+    return miss(/*corrupt=*/true);
   }
   // An entry must hold exactly the one row its name promises, and the
   // row's own seed column must agree with the key — anything else is a
   // truncated, hand-edited, or misplaced file, and recomputing is cheaper
   // than trusting it.
   if (rows.size() != 1 || rows.front().topology_seed != key.trial_seed) {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.corrupt;
-    ++stats_.misses;
-    return std::nullopt;
+    return miss(/*corrupt=*/true);
   }
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);

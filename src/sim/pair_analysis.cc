@@ -132,11 +132,34 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
     return db.normal;
   };
 
+  const auto ensure_insecure_empty = [&]() -> const routing::RoutingOutcome& {
+    if (!db.has_insecure_empty) {
+      routing::compute_routing_into(
+          g, {d, routing::kNoAs, SecurityModel::kInsecure}, {}, ws,
+          db.insecure_empty);
+      db.has_insecure_empty = true;
+    }
+    return db.insecure_empty;
+  };
+
   security::PairOutcomes po;
   po.g = &g;
   po.d = d;
   po.m = m;
   po.dep = &dep;
+
+  // Security 2nd/3rd partitions under the standard ladder — including the
+  // downgrade immunity check, which always uses it (matching
+  // analyze_downgrades) — classify off the S = emptyset attacked state.
+  const bool wants_partitions = cfg.analyses.contains(Analysis::kPartitions);
+  const bool wants_downgrades = cfg.analyses.contains(Analysis::kDowngrades);
+  const bool lp_standard = cfg.lp.kind == LocalPrefPolicy::Kind::kStandard;
+  const bool empty_classifies = cfg.model == SecurityModel::kSecuritySecond ||
+                                cfg.model == SecurityModel::kSecurityThird;
+  const bool needs_empty =
+      cfg.analyses.intersects(kNeedsAttackedEmpty) ||
+      (empty_classifies &&
+       (wants_downgrades || (wants_partitions && lp_standard)));
 
   if (cfg.analyses.intersects(kNeedsAttacked)) {
     const routing::Query q{d, m, cfg.model};
@@ -155,6 +178,15 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
                                                       ws.primary);
         po.normal = &ws.normal;
       }
+    } else if (cached && needs_empty &&
+               cfg.model == SecurityModel::kSecurityThird) {
+      // Security 3rd: the attacked state and its S = emptyset twin share
+      // every route type and length (App. E.1), so one twin-lane delta
+      // derives both from their cached baselines.
+      routing::compute_routing_seeded_twin_into(
+          g, q, dep, ws, ensure_normal(), ensure_insecure_empty(), ws.primary,
+          ws.attacked_empty);
+      po.attacked_empty = &ws.attacked_empty;
     } else if (cached && routing::routing_seed_applicable(q, dep)) {
       // Monotone case: derive the attacked state incrementally from the
       // cached baseline (bit-for-bit identical to the full engine).
@@ -168,34 +200,26 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
   if (cfg.analyses.intersects(kNeedsNormal) && po.normal == nullptr) {
     po.normal = &ensure_normal();
   }
-  // Security 2nd/3rd partitions under the standard ladder — including the
-  // downgrade immunity check, which always uses it (matching
-  // analyze_downgrades) — classify off the S = emptyset attacked state.
-  const bool wants_partitions = cfg.analyses.contains(Analysis::kPartitions);
-  const bool wants_downgrades = cfg.analyses.contains(Analysis::kDowngrades);
-  const bool lp_standard = cfg.lp.kind == LocalPrefPolicy::Kind::kStandard;
-  const bool empty_classifies = cfg.model == SecurityModel::kSecuritySecond ||
-                                cfg.model == SecurityModel::kSecurityThird;
-  if (cfg.analyses.intersects(kNeedsAttackedEmpty) ||
-      (empty_classifies &&
-       (wants_downgrades || (wants_partitions && lp_standard)))) {
-    const routing::Query eq{d, m, SecurityModel::kInsecure};
-    if (cached) {
-      // The insecure S = emptyset instance is always seedable (security
-      // never ranks), so the attacked-empty outcome also amortizes to an
-      // incremental derivation per attacker.
-      if (!db.has_insecure_empty) {
-        routing::compute_routing_into(
-            g, {d, routing::kNoAs, SecurityModel::kInsecure}, {}, ws,
-            db.insecure_empty);
-        db.has_insecure_empty = true;
-      }
-      routing::compute_routing_seeded_into(g, eq, {}, ws, db.insecure_empty,
-                                           ws.attacked_empty);
+  if (needs_empty && po.attacked_empty == nullptr) {
+    if (cfg.model == SecurityModel::kInsecure && po.attacked != nullptr) {
+      // The engine ignores the deployment under kInsecure (and hysteresis
+      // pins nothing there), so the attacked state already is the
+      // S = emptyset attacked state.
+      po.attacked_empty = po.attacked;
     } else {
-      routing::compute_routing_into(g, eq, {}, ws, ws.attacked_empty);
+      const routing::Query eq{d, m, SecurityModel::kInsecure};
+      if (cached) {
+        // The insecure S = emptyset instance is always seedable (security
+        // never ranks), so the attacked-empty outcome also amortizes to an
+        // incremental derivation per attacker.
+        routing::compute_routing_seeded_into(g, eq, {}, ws,
+                                             ensure_insecure_empty(),
+                                             ws.attacked_empty);
+      } else {
+        routing::compute_routing_into(g, eq, {}, ws, ws.attacked_empty);
+      }
+      po.attacked_empty = &ws.attacked_empty;
     }
-    po.attacked_empty = &ws.attacked_empty;
   }
 
   // LPk ladders and security 1st build their own invariant state (into
@@ -203,7 +227,7 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
   std::optional<security::PartitionContext> partition;
   const auto make_partition = [&](LocalPrefPolicy lp) {
     if (empty_classifies && lp.kind == LocalPrefPolicy::Kind::kStandard) {
-      partition.emplace(g, d, m, cfg.model, ws.attacked_empty);
+      partition.emplace(g, d, m, cfg.model, *po.attacked_empty);
     } else {
       partition.emplace(g, d, m, cfg.model, lp, ws);
     }

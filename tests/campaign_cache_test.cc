@@ -248,6 +248,29 @@ TEST(CampaignCache, RejectsCorruptedEntries) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
+TEST(CampaignCache, DirectoryNamedLikeAnEntryIsACorruptMiss) {
+  const TempDir dir;
+  CampaignCache cache(dir.str());
+  const CacheKey key{4, 5, 6};
+  fs::create_directory(dir.path() / cache_entry_name(key));
+  EXPECT_EQ(cache.lookup(key), std::nullopt);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(CampaignCache, AbsentEntryIsAPlainMiss) {
+  const TempDir dir;
+  CampaignCache cache(dir.str() + "/");
+  EXPECT_EQ(cache.lookup({7, 8, 9}), std::nullopt);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().corrupt, 0u);
+  // A trailing separator on the directory still finds stored entries.
+  cache.store({7, 8, 9}, synthetic_row(/*topology_seed=*/8));
+  EXPECT_NE(cache.lookup({7, 8, 9}), std::nullopt);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
 TEST(CampaignCache, WarmRunServesEveryCellAndMatchesColdBytes) {
   const TempDir dir;
   const CampaignSpec campaign = cached_campaign(dir.str());

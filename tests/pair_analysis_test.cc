@@ -98,13 +98,16 @@ class PairAnalysisTest : public ::testing::Test {
       s.happiness.happy_lower += c.happy_lower;
       s.happiness.happy_upper += c.happy_upper;
       s.happiness.sources += c.sources;
-      routing::EngineWorkspace ws;
-      s.partitions += security::PartitionContext(
-                          topo_.graph, d, m, model,
-                          routing::LocalPrefPolicy::standard(), ws)
-                          .counts();
-      s.downgrades +=
-          security::analyze_downgrades(topo_.graph, d, m, model, dep);
+      // Partitions and downgrades are undefined under kInsecure.
+      if (model != SecurityModel::kInsecure) {
+        routing::EngineWorkspace ws;
+        s.partitions += security::PartitionContext(
+                            topo_.graph, d, m, model,
+                            routing::LocalPrefPolicy::standard(), ws)
+                            .counts();
+        s.downgrades +=
+            security::analyze_downgrades(topo_.graph, d, m, model, dep);
+      }
       s.collateral +=
           security::analyze_collateral(topo_.graph, d, m, model, dep);
       s.root_causes +=
@@ -124,40 +127,66 @@ TEST_F(PairAnalysisTest, EveryCombinationMatchesStandaloneAnalyses) {
        {deployment::StubMode::kFullSbgp, deployment::StubMode::kSimplex}) {
     const auto rollout = deployment::t1_t2_rollout(topo_.graph, tiers_, mode);
     const Deployment& dep = rollout.back().deployment;
+    const auto check = [&](SecurityModel model, const PairStats& expected,
+                           std::uint8_t combo) {
+      PairAnalysisConfig cfg;
+      cfg.model = model;
+      for (std::size_t b = 0; b < 5; ++b) {
+        if ((combo & (1u << b)) != 0) cfg.analyses |= kAllAnalyses[b];
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << "model=" << to_string(model) << " stub mode="
+                   << static_cast<int>(mode) << " combo=" << int(combo));
+      const PairStats fused =
+          analyze_sweep(topo_.graph,
+                        make_sweep_plan(attackers_, destinations_), cfg, dep)
+              .total;
+      EXPECT_EQ(fused.pairs, expected.pairs);
+      if (cfg.analyses.contains(Analysis::kHappiness)) {
+        expect_happiness_eq(fused.happiness, expected.happiness);
+      }
+      if (cfg.analyses.contains(Analysis::kPartitions)) {
+        expect_partitions_eq(fused.partitions, expected.partitions);
+      }
+      if (cfg.analyses.contains(Analysis::kDowngrades)) {
+        expect_downgrades_eq(fused.downgrades, expected.downgrades);
+      }
+      if (cfg.analyses.contains(Analysis::kCollateral)) {
+        expect_collateral_eq(fused.collateral, expected.collateral);
+      }
+      if (cfg.analyses.contains(Analysis::kRootCause)) {
+        expect_root_causes_eq(fused.root_causes, expected.root_causes);
+      }
+    };
     for (const auto model : routing::kAllSecurityModels) {
       const PairStats expected = standalone(model, dep);
       // All 31 non-empty subsets of the five analyses.
       for (std::uint8_t combo = 1; combo < 32; ++combo) {
-        PairAnalysisConfig cfg;
-        cfg.model = model;
-        for (std::size_t b = 0; b < 5; ++b) {
-          if ((combo & (1u << b)) != 0) cfg.analyses |= kAllAnalyses[b];
-        }
-        SCOPED_TRACE(::testing::Message()
-                     << "model=" << to_string(model) << " stub mode="
-                     << static_cast<int>(mode) << " combo=" << int(combo));
-        const PairStats fused =
-            analyze_sweep(topo_.graph,
-                          make_sweep_plan(attackers_, destinations_), cfg, dep)
-                .total;
-        EXPECT_EQ(fused.pairs, expected.pairs);
-        if (cfg.analyses.contains(Analysis::kHappiness)) {
-          expect_happiness_eq(fused.happiness, expected.happiness);
-        }
-        if (cfg.analyses.contains(Analysis::kPartitions)) {
-          expect_partitions_eq(fused.partitions, expected.partitions);
-        }
-        if (cfg.analyses.contains(Analysis::kDowngrades)) {
-          expect_downgrades_eq(fused.downgrades, expected.downgrades);
-        }
-        if (cfg.analyses.contains(Analysis::kCollateral)) {
-          expect_collateral_eq(fused.collateral, expected.collateral);
-        }
-        if (cfg.analyses.contains(Analysis::kRootCause)) {
-          expect_root_causes_eq(fused.root_causes, expected.root_causes);
-        }
+        check(model, expected, combo);
       }
     }
+    // kInsecure reuses the attacked state as the S = emptyset attacked
+    // state. Its 7 combos of happiness, collateral and root causes (the
+    // analyses defined there; partitions and downgrades are bits 1-2).
+    const PairStats expected = standalone(SecurityModel::kInsecure, dep);
+    for (std::uint8_t combo = 1; combo < 32; ++combo) {
+      if ((combo & 0b00110u) == 0) {
+        check(SecurityModel::kInsecure, expected, combo);
+      }
+    }
+  }
+}
+
+TEST_F(PairAnalysisTest, InsecurePartitionsAndDowngradesThrow) {
+  const Deployment dep(topo_.graph.num_ases());
+  for (const Analysis a : {Analysis::kPartitions, Analysis::kDowngrades}) {
+    PairAnalysisConfig cfg;
+    cfg.model = SecurityModel::kInsecure;
+    cfg.analyses = a | Analysis::kCollateral;
+    EXPECT_THROW((void)analyze_sweep(topo_.graph,
+                                     make_sweep_plan(attackers_, destinations_),
+                                     cfg, dep),
+                 std::invalid_argument);
   }
 }
 
@@ -272,11 +301,11 @@ TEST(SweepPlanTest, AnalyzeSweepRejectsBadPlans) {
   EXPECT_THROW((void)analyze_sweep(topo.graph, SweepPlan{}, cfg, dep),
                std::invalid_argument);
   SweepPlan pairless;
-  pairless.groups.push_back({7, 0, {}});
+  pairless.groups.push_back({7, 0, {}, {}});
   EXPECT_THROW((void)analyze_sweep(topo.graph, pairless, cfg, dep),
                std::invalid_argument);
   SweepPlan self_attack;
-  self_attack.groups.push_back({7, 0, {7, 8}});
+  self_attack.groups.push_back({7, 0, {7, 8}, {}});
   EXPECT_THROW((void)analyze_sweep(topo.graph, self_attack, cfg, dep),
                std::invalid_argument);
 }

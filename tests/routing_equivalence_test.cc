@@ -17,6 +17,7 @@
 #include "routing/workspace.h"
 #include "test_support.h"
 #include "topology/generator.h"
+#include "topology/registry.h"
 #include "util/rng.h"
 
 namespace sbgp::routing {
@@ -327,6 +328,133 @@ TEST(SeededEngine, RejectsMalformedQueries) {
   EXPECT_THROW(compute_routing_seeded_into(
                    g, {3, 4, SecurityModel::kInsecure}, dep, ws, small, out),
                std::invalid_argument);
+}
+
+// --- Twin-lane seeded delta (security 3rd + its S = emptyset twin) ---------
+
+/// The twin-lane delta must reproduce, lane for lane, both two single-lane
+/// seeded calls and two full engine runs: word for word and next hop for
+/// next hop.
+void check_twin_pair(const AsGraph& g, const Deployment& dep, AsId d, AsId m) {
+  SCOPED_TRACE("twin d=" + std::to_string(d) + " m=" + std::to_string(m));
+  EngineWorkspace ws(g.num_ases());
+  RoutingOutcome normal, insecure_normal, full, full_empty, seeded,
+      seeded_empty, twin, twin_empty;
+  const Query q{d, m, SecurityModel::kSecurityThird};
+  const Query eq{d, m, SecurityModel::kInsecure};
+  compute_routing_into(g, {d, kNoAs, q.model}, dep, ws, normal);
+  compute_routing_into(g, {d, kNoAs, eq.model}, {}, ws, insecure_normal);
+  compute_routing_into(g, q, dep, ws, full);
+  compute_routing_into(g, eq, {}, ws, full_empty);
+  compute_routing_seeded_into(g, q, dep, ws, normal, seeded);
+  compute_routing_seeded_into(g, eq, {}, ws, insecure_normal, seeded_empty);
+  compute_routing_seeded_twin_into(g, q, dep, ws, normal, insecure_normal, twin,
+                                   twin_empty);
+  expect_outcome_identical(full, twin);
+  expect_outcome_identical(full_empty, twin_empty);
+  expect_outcome_identical(seeded, twin);
+  expect_outcome_identical(seeded_empty, twin_empty);
+}
+
+TEST_P(EquivalenceTest, TwinMatchesSeparateAndFullOnRandomGraphs) {
+  const auto [n, seed] = GetParam();
+  util::Rng rng(seed + 13000);
+  const AsGraph g = random_gr_graph(n, rng);
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto d = static_cast<AsId>(rng.next_below(n));
+    auto m = static_cast<AsId>(rng.next_below(n));
+    if (m == d) m = (m + 1) % n;
+    check_twin_pair(g, random_deployment(n, 0.45, rng), d, m);
+  }
+}
+
+TEST(SeededEngine, TwinMatchesOnEveryRegistryScenario) {
+  const auto topo = topology::generate_small_internet(220, 12);
+  const auto tiers = topo.classify();
+  const auto n = static_cast<std::uint32_t>(topo.graph.num_ases());
+  util::Rng rng(2014);
+  for (const auto& def : deployment::scenario_registry()) {
+    for (const auto mode :
+         {deployment::StubMode::kFullSbgp, deployment::StubMode::kSimplex}) {
+      const auto steps = def.build(topo.graph, tiers, mode);
+      ASSERT_FALSE(steps.empty()) << def.name;
+      SCOPED_TRACE(std::string(def.name) + " mode=" +
+                   std::to_string(static_cast<int>(mode)));
+      for (int trial = 0; trial < 2; ++trial) {
+        const auto d = static_cast<AsId>(rng.next_below(n));
+        auto m = static_cast<AsId>(rng.next_below(n));
+        if (m == d) m = (m + 1) % n;
+        check_twin_pair(topo.graph, steps.back().deployment, d, m);
+      }
+    }
+  }
+}
+
+TEST(SeededEngine, TwinMatchesOnTiny500) {
+  const auto topo = topology::generate_trial("tiny-500", 20130812, 0);
+  const auto n = static_cast<std::uint32_t>(topo.graph.num_ases());
+  util::Rng rng(1500);
+  for (int pair = 0; pair < 16; ++pair) {
+    const auto d = static_cast<AsId>(rng.next_below(n));
+    auto m = static_cast<AsId>(rng.next_below(n));
+    if (m == d) m = (m + 1) % n;
+    check_twin_pair(topo.graph, random_deployment(n, 0.5, rng), d, m);
+  }
+}
+
+TEST(SeededEngine, TwinRejectsInvalidInput) {
+  util::Rng rng(6);
+  const AsGraph g = random_gr_graph(30, rng);
+  const Deployment dep = random_deployment(30, 0.5, rng);
+  EngineWorkspace ws(30);
+  RoutingOutcome normal, insecure_normal, out, out_empty;
+  compute_routing_into(g, {3, kNoAs, SecurityModel::kSecurityThird}, dep, ws,
+                       normal);
+  compute_routing_into(g, {3, kNoAs, SecurityModel::kInsecure}, {}, ws,
+                       insecure_normal);
+  const auto twin = [&](const Query& q, const RoutingOutcome& insecure) {
+    compute_routing_seeded_twin_into(g, q, dep, ws, normal, insecure, out,
+                                     out_empty);
+  };
+  // Only security 3rd keeps types and lengths deployment-invariant.
+  for (const SecurityModel model :
+       {SecurityModel::kSecurityFirst, SecurityModel::kSecuritySecond,
+        SecurityModel::kInsecure}) {
+    EXPECT_THROW(twin({3, 4, model}, insecure_normal), std::invalid_argument)
+        << to_string(model);
+  }
+  // Attacker == destination.
+  EXPECT_THROW(twin({3, 3, SecurityModel::kSecurityThird}, insecure_normal),
+               std::invalid_argument);
+  // Insecure baseline sized for a different graph.
+  RoutingOutcome small;
+  small.reset(7);
+  EXPECT_THROW(twin({3, 4, SecurityModel::kSecurityThird}, small),
+               std::invalid_argument);
+  // Baselines that disagree on one AS's length: the message names the AS.
+  AsId victim = kNoAs;
+  for (AsId v = 0; v < 30 && victim == kNoAs; ++v) {
+    if (v != 3 && insecure_normal.has_route(v)) victim = v;
+  }
+  ASSERT_NE(victim, kNoAs);
+  RoutingOutcome skewed = insecure_normal;
+  skewed.fix(victim, skewed.type(victim),
+             static_cast<std::uint16_t>(skewed.length(victim) + 1),
+             skewed.reaches_destination(victim),
+             skewed.reaches_attacker(victim), skewed.secure_route(victim),
+             skewed.next_toward(victim, true),
+             skewed.next_toward(victim, false));
+  try {
+    twin({3, 4, SecurityModel::kSecurityThird}, skewed);
+    ADD_FAILURE() << "mismatched baselines accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    const std::string names = " AS " + std::to_string(victim);
+    ASSERT_GE(msg.size(), names.size()) << msg;
+    EXPECT_EQ(msg.substr(msg.size() - names.size()), names) << msg;
+  }
+  // The untouched baselines are accepted.
+  EXPECT_NO_THROW(twin({3, 4, SecurityModel::kSecurityThird}, insecure_normal));
 }
 
 TEST(SeededEngine, HysteresisWithPrecomputedNormalMatchesRecomputing) {
