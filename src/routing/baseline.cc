@@ -10,13 +10,26 @@ namespace sbgp::routing {
 
 namespace {
 
+/// What fixing an AS needs of its tie set (the equally best neighbors):
+/// whether it is non-empty, and the OR of the members' reach flags.
+struct TieSet {
+  bool any = false;
+  bool reach_d = false;
+  bool reach_m = false;
+
+  void add(const RoutingOutcome& out, AsId u) {
+    any = true;
+    reach_d |= out.reaches_destination(u);
+    reach_m |= out.reaches_attacker(u);
+  }
+};
+
 struct Ctx {
   const AsGraph& g;
   AsId d;
   AsId m;
   std::vector<std::uint8_t>& fixed;
   BucketQueue& frontier;
-  std::vector<AsId>& cands;  // reusable tie-set buffer
   RoutingOutcome& out;
 
   Ctx(const AsGraph& graph, AsId dest, AsId attacker, EngineWorkspace& ws,
@@ -26,7 +39,6 @@ struct Ctx {
         m(attacker),
         fixed(ws.fixed),
         frontier(ws.frontier),
-        cands(ws.candidates),
         out(result) {
     fixed.assign(graph.num_ases(), 0);
     out.reset(graph.num_ases());
@@ -37,45 +49,33 @@ struct Ctx {
            out.type(u) == RouteType::kCustomer;
   }
 
-  /// Fixes v from the tie set of neighbors in `cands` (all equally best).
-  void fix_from(AsId v, RouteType t, std::uint32_t len) {
-    assert(!cands.empty());
-    bool reach_d = false;
-    bool reach_m = false;
-    AsId nh_d = kNoAs;
-    AsId nh_m = kNoAs;
-    for (const AsId u : cands) {
-      if (out.reaches_destination(u)) {
-        reach_d = true;
-        if (nh_d == kNoAs) nh_d = u;
-      }
-      if (out.reaches_attacker(u)) {
-        reach_m = true;
-        if (nh_m == kNoAs) nh_m = u;
-      }
-    }
-    out.fix(v, t, static_cast<std::uint16_t>(len), reach_d, reach_m,
-            /*secure=*/false, nh_d, nh_m);
+  /// Fixes v from its tie set of neighbors (all equally best).
+  void fix_from(AsId v, RouteType t, std::uint32_t len, const TieSet& ties) {
+    assert(ties.any);
+    out.fix(v, t, static_cast<std::uint16_t>(len), ties.reach_d, ties.reach_m,
+            /*secure=*/false);
     fixed[v] = 1;
   }
 
-  /// Collects customer-route candidates of length `len` at v into `cands`.
-  void gather_customer_candidates(AsId v, std::uint32_t len) {
-    cands.clear();
+  /// The tie set of customer routes of length `len` at v.
+  [[nodiscard]] TieSet customer_ties(AsId v, std::uint32_t len) const {
+    TieSet ties;
     for (const AsId c : g.customers(v)) {
       if (fixed[c] && exports_up(c) && out.length(c) + 1u == len) {
-        cands.push_back(c);
+        ties.add(out, c);
       }
     }
+    return ties;
   }
 
-  void gather_peer_candidates(AsId v, std::uint32_t len) {
-    cands.clear();
+  [[nodiscard]] TieSet peer_ties(AsId v, std::uint32_t len) const {
+    TieSet ties;
     for (const AsId u : g.peers(v)) {
       if (fixed[u] && exports_up(u) && out.length(u) + 1u == len) {
-        cands.push_back(u);
+        ties.add(out, u);
       }
     }
+    return ties;
   }
 };
 
@@ -87,9 +87,9 @@ std::vector<AsId> sweep_customer_level(Ctx& ctx, std::uint32_t len,
   for (const AsId u : frontier) {
     for (const AsId p : ctx.g.providers(u)) {
       if (ctx.fixed[p]) continue;
-      ctx.gather_customer_candidates(p, len);
-      if (ctx.cands.empty()) continue;
-      ctx.fix_from(p, RouteType::kCustomer, len);
+      const TieSet ties = ctx.customer_ties(p, len);
+      if (!ties.any) continue;
+      ctx.fix_from(p, RouteType::kCustomer, len, ties);
       fixed_now.push_back(p);
     }
   }
@@ -102,8 +102,8 @@ void sweep_peer_level(Ctx& ctx, std::uint32_t len,
   for (const AsId u : exporters) {
     for (const AsId v : ctx.g.peers(u)) {
       if (ctx.fixed[v]) continue;
-      ctx.gather_peer_candidates(v, len);
-      if (!ctx.cands.empty()) ctx.fix_from(v, RouteType::kPeer, len);
+      const TieSet ties = ctx.peer_ties(v, len);
+      if (ties.any) ctx.fix_from(v, RouteType::kPeer, len, ties);
     }
   }
 }
@@ -121,9 +121,7 @@ void finish_customer_routes(Ctx& ctx) {
   while (!heap.empty()) {
     const auto [len, v] = heap.pop();
     if (ctx.fixed[v]) continue;
-    ctx.gather_customer_candidates(v, len);
-    assert(!ctx.cands.empty());
-    ctx.fix_from(v, RouteType::kCustomer, len);
+    ctx.fix_from(v, RouteType::kCustomer, len, ctx.customer_ties(v, len));
     for (const AsId p : ctx.g.providers(v)) {
       if (!ctx.fixed[p]) heap.push(len + 1u, p);
     }
@@ -141,8 +139,7 @@ void finish_peer_routes(Ctx& ctx) {
       }
     }
     if (best == 0xFFFF'FFFFu) continue;
-    ctx.gather_peer_candidates(v, best);
-    ctx.fix_from(v, RouteType::kPeer, best);
+    ctx.fix_from(v, RouteType::kPeer, best, ctx.peer_ties(v, best));
   }
 }
 
@@ -159,12 +156,11 @@ void finish_provider_routes(Ctx& ctx) {
   while (!heap.empty()) {
     const auto [len, v] = heap.pop();
     if (ctx.fixed[v]) continue;
-    ctx.cands.clear();
+    TieSet ties;
     for (const AsId p : ctx.g.providers(v)) {
-      if (ctx.fixed[p] && ctx.out.length(p) + 1u == len) ctx.cands.push_back(p);
+      if (ctx.fixed[p] && ctx.out.length(p) + 1u == len) ties.add(ctx.out, p);
     }
-    assert(!ctx.cands.empty());
-    ctx.fix_from(v, RouteType::kProvider, len);
+    ctx.fix_from(v, RouteType::kProvider, len, ties);
     for (const AsId c : ctx.g.customers(v)) {
       if (!ctx.fixed[c]) heap.push(len + 1u, c);
     }
@@ -183,10 +179,10 @@ void compute_baseline_into(const AsGraph& g, AsId d, AsId m,
     throw std::invalid_argument("compute_baseline: bad attacker");
   }
   Ctx ctx(g, d, m, ws, result);
-  ctx.out.fix(d, RouteType::kOrigin, 0, true, false, false, kNoAs, kNoAs);
+  ctx.out.fix(d, RouteType::kOrigin, 0, true, false, false);
   ctx.fixed[d] = 1;
   if (m != kNoAs) {
-    ctx.out.fix(m, RouteType::kOrigin, 1, false, true, false, kNoAs, kNoAs);
+    ctx.out.fix(m, RouteType::kOrigin, 1, false, true, false);
     ctx.fixed[m] = 1;
   }
 

@@ -29,7 +29,7 @@ namespace sbgp::routing {
     LocalPrefPolicy lp = LocalPrefPolicy::standard());
 
 /// Workspace variant: computes into `result` (typically ws.baseline),
-/// reusing ws.fixed / ws.frontier / ws.candidates as scratch.
+/// reusing ws.fixed / ws.frontier as scratch.
 void compute_baseline_into(const AsGraph& g, AsId d, AsId m,
                            LocalPrefPolicy lp, EngineWorkspace& ws,
                            RoutingOutcome& result);

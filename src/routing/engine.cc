@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -88,10 +89,6 @@ struct Candidates {
   bool reach_m = false;
   bool reach_d_secure = false;
   bool reach_m_secure = false;
-  AsId nh_d = kNoAs;
-  AsId nh_m = kNoAs;
-  AsId nh_d_secure = kNoAs;
-  AsId nh_m_secure = kNoAs;
 
   void add(const Ctx& ctx, AsId via, bool secure) {
     any = true;
@@ -101,25 +98,11 @@ struct Candidates {
     const bool to_m = ctx.out.type(via) == RouteType::kOrigin
                           ? via == ctx.m
                           : ctx.out.reaches_attacker(via);
-    if (to_d) {
-      reach_d = true;
-      if (nh_d == kNoAs) nh_d = via;
-    }
-    if (to_m) {
-      reach_m = true;
-      if (nh_m == kNoAs) nh_m = via;
-    }
-    if (secure) {
-      any_secure = true;
-      if (to_d) {
-        reach_d_secure = true;
-        if (nh_d_secure == kNoAs) nh_d_secure = via;
-      }
-      if (to_m) {
-        reach_m_secure = true;
-        if (nh_m_secure == kNoAs) nh_m_secure = via;
-      }
-    }
+    reach_d |= to_d;
+    reach_m |= to_m;
+    any_secure |= secure;
+    reach_d_secure |= secure && to_d;
+    reach_m_secure |= secure && to_m;
   }
 
   /// Applies the SecP tie-set restriction and fixes v.
@@ -138,10 +121,9 @@ struct Candidates {
              (reach_d == reach_d_secure && reach_m == reach_m_secure));
     }
     if (use_secure_only) {
-      ctx.out.fix(v, t, len, reach_d_secure, reach_m_secure, /*secure=*/true,
-                  nh_d_secure, nh_m_secure);
+      ctx.out.fix(v, t, len, reach_d_secure, reach_m_secure, /*secure=*/true);
     } else {
-      ctx.out.fix(v, t, len, reach_d, reach_m, /*secure=*/false, nh_d, nh_m);
+      ctx.out.fix(v, t, len, reach_d, reach_m, /*secure=*/false);
     }
     ctx.fixed[v] = 1;
   }
@@ -262,28 +244,6 @@ void provider_stage(Ctx& ctx, bool secure_only) {
   }
 }
 
-}  // namespace
-
-std::vector<AsId> RoutingOutcome::representative_path(
-    AsId v, bool toward_destination) const {
-  std::vector<AsId> path;
-  AsId cur = v;
-  path.push_back(cur);
-  while (type(cur) != RouteType::kOrigin) {
-    const AsId next =
-        toward_destination ? next_toward_d_[cur] : next_toward_m_[cur];
-    if (next == kNoAs) {
-      throw std::logic_error(
-          "representative_path: no path toward requested root");
-    }
-    cur = next;
-    path.push_back(cur);
-  }
-  return path;
-}
-
-namespace {
-
 /// Runs the model's stage pipeline over whatever is already fixed in ctx.
 void run_stages(Ctx& ctx, const Query& q, const Deployment& deployment) {
   const bool secure_routes_possible =
@@ -331,11 +291,11 @@ Ctx make_context(const AsGraph& g, const Query& q, const Deployment& deployment,
   }
   Ctx ctx(g, deployment, q.model, q.destination, q.attacker, ws, result);
   ctx.out.fix(q.destination, RouteType::kOrigin, 0, /*reach_d=*/true,
-              /*reach_m=*/false, /*secure=*/false, kNoAs, kNoAs);
+              /*reach_m=*/false, /*secure=*/false);
   ctx.fixed[q.destination] = 1;
   if (q.attacker != kNoAs) {
     ctx.out.fix(q.attacker, RouteType::kOrigin, 1, /*reach_d=*/false,
-                /*reach_m=*/true, /*secure=*/false, kNoAs, kNoAs);
+                /*reach_m=*/true, /*secure=*/false);
     ctx.fixed[q.attacker] = 1;
   }
   return ctx;
@@ -366,96 +326,76 @@ RoutingOutcome compute_routing(const AsGraph& g, const Query& q,
 
 namespace {
 
-/// Shared hysteresis core: attack outcome given the (caller-provided)
-/// pre-attack stable state.
-void hysteresis_from_normal(const AsGraph& g, const Query& q,
-                            const Deployment& deployment, EngineWorkspace& ws,
-                            const RoutingOutcome& normal,
-                            RoutingOutcome& result) {
-  assert(&result != &normal);
-  Ctx ctx = make_context(g, q, deployment, ws, result);
-  // Pin every secure route whose path avoids the attacker: with
-  // hysteresis, an AS does not abandon a working secure route just because
-  // a "better" insecure one shows up (the Section 8 proposal). Pinned
-  // routes are consistent with each other because a secure route's whole
-  // suffix is itself a pinned secure route.
-  for (AsId v = 0; v < g.num_ases(); ++v) {
-    if (ctx.fixed[v] || !normal.secure_route(v)) continue;
-    // Walk the representative path toward d hop by hop (no allocation);
-    // the attacker can only appear as a transit node of the normal state.
-    bool via_attacker = false;
-    AsId cur = v;
-    while (normal.type(cur) != RouteType::kOrigin) {
-      const AsId next = normal.next_toward(cur, /*toward_destination=*/true);
-      if (next == kNoAs) {
-        throw std::logic_error(
-            "compute_routing_with_hysteresis: broken secure route");
-      }
-      cur = next;
-      if (cur == q.attacker) {
-        via_attacker = true;
-        break;
-      }
+/// Next hop of v's representative secure route in the stable state
+/// `normal` of destination d: the first secure member of v's tie set in
+/// adjacency order, as the engine's Candidates scan meets it. Tie-set
+/// members are the neighbors of v's route class one hop shorter than v
+/// (exporting ones, for customer and peer routes); the secure ones are d
+/// itself or holders of a secure route. Requires normal.secure_route(v).
+AsId secure_next_hop(const AsGraph& g, const RoutingOutcome& normal, AsId d,
+                     AsId v) {
+  const RouteType t = normal.type(v);
+  std::span<const AsId> neighbors = g.providers(v);
+  if (t == RouteType::kCustomer) neighbors = g.customers(v);
+  if (t == RouteType::kPeer) neighbors = g.peers(v);
+  const std::uint32_t len = normal.length(v);
+  for (const AsId u : neighbors) {
+    if (normal.length(u) + 1u != len) continue;
+    if (t != RouteType::kProvider && normal.type(u) != RouteType::kOrigin &&
+        normal.type(u) != RouteType::kCustomer) {
+      continue;
     }
-    if (via_attacker) {
-      continue;  // the attacker sits on the route: hysteresis cannot help
-    }
-    ctx.out.fix(v, normal.type(v), normal.length(v), /*reach_d=*/true,
-                /*reach_m=*/false, /*secure=*/true,
-                normal.next_toward(v, /*toward_destination=*/true), kNoAs);
-    ctx.fixed[v] = 1;
+    if (u == d || normal.secure_route(u)) return u;
   }
-  run_stages(ctx, q, deployment);
+  throw std::logic_error(
+      "compute_routing_with_hysteresis: broken secure route");
 }
 
 }  // namespace
-
-void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
-                                          const Deployment& deployment,
-                                          EngineWorkspace& ws,
-                                          RoutingOutcome& result) {
-  if (!q.under_attack()) {
-    compute_routing_into(g, q, deployment, ws, result);
-    return;
-  }
-  assert(&result != &ws.normal);
-
-  // Normal conditions first: which ASes hold secure routes to d?
-  const Query normal_q{q.destination, kNoAs, q.model};
-  compute_routing_into(g, normal_q, deployment, ws, ws.normal);
-  hysteresis_from_normal(g, q, deployment, ws, ws.normal, result);
-}
 
 void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
                                           const Deployment& deployment,
                                           EngineWorkspace& ws,
                                           const RoutingOutcome& normal,
                                           RoutingOutcome& result) {
+  if (normal.num_ases() != g.num_ases()) {
+    throw std::invalid_argument(
+        "compute_routing_with_hysteresis_into: normal outcome has " +
+        std::to_string(normal.num_ases()) + " ASes, graph has " +
+        std::to_string(g.num_ases()));
+  }
   if (!q.under_attack()) {
     compute_routing_into(g, q, deployment, ws, result);
     return;
   }
-  hysteresis_from_normal(g, q, deployment, ws, normal, result);
+  assert(&result != &normal);
+  Ctx ctx = make_context(g, q, deployment, ws, result);
+  // Pin every secure route whose path avoids the attacker: with
+  // hysteresis, an AS does not abandon a working secure route just because
+  // a "better" insecure one shows up (the Section 8 proposal). The route
+  // is the representative one (secure_next_hop), whose next hop is one hop
+  // shorter; so in increasing normal length, v is pinned iff its next hop
+  // is d or an already pinned AS. The attacker is fixed as an origin but
+  // never pinned: a route through it is exactly where hysteresis cannot
+  // help. Pinned routes are consistent with each other because a pinned
+  // route's whole suffix is pinned.
+  BucketQueue& order = ctx.frontier;
+  order.clear();
+  for (AsId v = 0; v < g.num_ases(); ++v) {
+    if (!ctx.fixed[v] && normal.secure_route(v)) {
+      order.push(normal.length(v), v);
+    }
+  }
+  while (!order.empty()) {
+    const AsId v = order.pop().second;
+    const AsId next = secure_next_hop(g, normal, q.destination, v);
+    if (next == q.attacker || !ctx.fixed[next]) continue;
+    ctx.out.fix(v, normal.type(v), normal.length(v), /*reach_d=*/true,
+                /*reach_m=*/false, /*secure=*/true);
+    ctx.fixed[v] = 1;
+  }
+  run_stages(ctx, q, deployment);
 }
-
-namespace {
-
-/// The attributes of one AS that neighbors' candidate scans read are
-/// exactly the packed outcome word (type, flags, length) — next hops are
-/// deliberately absent from it: they never feed another AS's selection, so
-/// a next-hop-only update must not propagate. Rank comparison is therefore
-/// a single 32-bit load and compare.
-using RankState = std::uint32_t;
-
-RankState rank_state(const RoutingOutcome& o, AsId v) {
-  return o.packed_word(v);
-}
-
-bool rank_state_differs(RankState before, const RoutingOutcome& o, AsId v) {
-  return o.packed_word(v) != before;
-}
-
-}  // namespace
 
 bool routing_seed_applicable(const Query& q, const Deployment& deployment) {
   // The seeded path replicates the plain FCR/FPeeR/FPrvR pipeline, which
@@ -478,32 +418,32 @@ namespace {
 /// own attacked state; compute_routing_seeded_twin_into adds the S =
 /// emptyset attacked state of the same (d, m) as a second lane. All lanes
 /// agree on every route type and length, so they share every ordering and
-/// length decision (read off lane 0) and differ only in the flags and next
-/// hops their own Candidates scans produce. Every lane's `out` already
-/// holds its baseline; `attacker` is the validated m.
+/// length decision (read off lane 0) and differ only in the flags their
+/// own Candidates scans produce. Every lane's `out` already holds its
+/// baseline; `attacker` is the validated m.
 template <std::size_t kLanes>
 void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
                   EngineWorkspace& ws) {
   Ctx& ctx = *lanes[0];
   const std::size_t n = ctx.g.num_ases();
 
-  using Snapshot = std::array<RankState, kLanes>;
+  using Snapshot = std::array<std::uint32_t, kLanes>;
   using LaneCandidates = std::array<Candidates, kLanes>;
   const auto snapshot = [&](AsId v) {
     Snapshot s;
     for (std::size_t i = 0; i < kLanes; ++i) {
-      s[i] = rank_state(lanes[i]->out, v);
+      s[i] = lanes[i]->out.packed_word(v);
     }
     return s;
   };
-  // A re-derived AS propagates when any lane's rank state changed.
+  // A re-derived AS propagates when any lane's packed word changed.
   // Re-deriving a consumer whose inputs did not change in some lane
   // reproduces that lane's bytes, so working through the union of the
   // lanes' dirty sets keeps every lane exact.
   const auto differs = [&](const Snapshot& before, AsId v) {
     bool any = false;
     for (std::size_t i = 0; i < kLanes; ++i) {
-      any |= rank_state_differs(before[i], lanes[i]->out, v);
+      any |= lanes[i]->out.packed_word(v) != before[i];
     }
     return any;
   };
@@ -546,7 +486,7 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
   ws.touched.clear();
   ws.changed.clear();
 
-  // Fan-out after v's rank state changed in the customer stage: push every
+  // Fan-out after v's packed word changed in the customer stage: push every
   // provider (customer-stage consumer) and record every peer (peer-stage
   // consumer). Customer-stage candidate lengths only shrink relative to
   // the baseline — the stage depends only on origins and the customer
@@ -569,7 +509,7 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
   // customer-stage route at m had length >= 1.
   for (Ctx* lane : lanes) {
     lane->out.fix(attacker, RouteType::kOrigin, 1, /*reach_d=*/false,
-                  /*reach_m=*/true, /*secure=*/false, kNoAs, kNoAs);
+                  /*reach_m=*/true, /*secure=*/false);
   }
   ctx.fixed[attacker] = 1;
   ws.changed.push_back(attacker);
@@ -598,9 +538,8 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
       if (ctx.out.length(c) + 1u != best) continue;
       add(cands, v, c);
     }
-    // Commit unconditionally: the tie set may have gained a member that
-    // changes only the representative next hops, and next hops never feed
-    // neighbors — so propagation keys off the rank state alone.
+    // Commit unconditionally (the re-derived word may equal the old one);
+    // only a changed word propagates.
     fix(cands, v, RouteType::kCustomer, best);
     if (differs(before, v)) {
       ws.changed.push_back(v);
@@ -657,7 +596,7 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
   // whose sources are the origins and the customer/peer-fixed ASes:
   //
   //  1. *Lengths* — a DynamicSWSF-FP fixpoint (Ramalingam-Reps). dist[]
-  //     starts from the baseline lengths with the rank-changed sources
+  //     starts from the baseline lengths with the word-changed sources
   //     (ws.changed) substituted; rhs[] is the one-step lookahead, and an
   //     AS is reprocessed while dist != rhs, handling both shortenings
   //     (through m's bogus route) and lengthenings (a supplier left the
@@ -665,14 +604,14 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
   //     equals the stage's Dijkstra lengths: a finite dist is witnessed by
   //     a real path (lengths strictly decrease toward a source), and
   //     induction over final lengths bounds it from above.
-  //  2. *States* — flags and next hops are functions of the final
-  //     min-length provider bucket, so every AS whose bucket could have
-  //     changed (dist changed, or a provider's dist or rank changed) is
-  //     re-derived with the engine's exact Candidates scan, in increasing
-  //     final length; rank changes propagate to customers. A bucket member
-  //     always has a strictly smaller final length, so it is committed
-  //     before its consumers pop (state changes travel strictly down the
-  //     length order).
+  //  2. *States* — flags are functions of the final min-length provider
+  //     bucket, so every AS whose bucket could have changed (dist changed,
+  //     or a provider's dist or word changed) is re-derived with the
+  //     engine's exact Candidates scan, in increasing final length; word
+  //     changes propagate to customers. A bucket member always has a
+  //     strictly smaller final length, so it is committed before its
+  //     consumers pop (state changes travel strictly down the length
+  //     order).
   //
   // Baseline bytes are kept wherever neither pass finds a change, and each
   // re-derived AS gets engine-identical candidates, so the result stays
@@ -748,7 +687,7 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
           for (Ctx* lane : lanes) {
             lane->out.fix(v, RouteType::kNone, kNoRouteLength,
                           /*reach_d=*/false, /*reach_m=*/false,
-                          /*secure=*/false, kNoAs, kNoAs);
+                          /*secure=*/false);
           }
         }
         continue;
@@ -844,18 +783,14 @@ void compute_routing_seeded_twin_into(const AsGraph& g, const Query& q,
   seeded_delta<2>({&ctx, &twin}, q.attacker, ws);
 }
 
-const RoutingOutcome& compute_routing_with_hysteresis(
-    const AsGraph& g, const Query& q, const Deployment& deployment,
-    EngineWorkspace& ws) {
-  compute_routing_with_hysteresis_into(g, q, deployment, ws, ws.primary);
-  return ws.primary;
-}
-
 RoutingOutcome compute_routing_with_hysteresis(const AsGraph& g,
                                                const Query& q,
                                                const Deployment& deployment) {
   EngineWorkspace ws;
-  compute_routing_with_hysteresis_into(g, q, deployment, ws, ws.primary);
+  compute_routing_into(g, {q.destination, kNoAs, q.model}, deployment, ws,
+                       ws.normal);
+  compute_routing_with_hysteresis_into(g, q, deployment, ws, ws.normal,
+                                       ws.primary);
   return std::move(ws.primary);
 }
 

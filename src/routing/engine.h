@@ -42,11 +42,12 @@ inline constexpr std::uint16_t kNoRouteLength = 0xFFFF;
 ///   bits  0-2   route type        bits 3-5   reach/secure flags
 ///   bits  6-15  reserved (zero)   bits 16-31 AS-path length
 ///
-/// so the engine's hot operations — fix(), the seeded path's rank-state
+/// so the engine's hot operations — fix(), the seeded path's word
 /// comparisons, reset() — are single stores, single compares, and one
 /// fill respectively, and a query streams one word per AS through the
-/// cache instead of three parallel arrays. The two representative
-/// next-hop arrays stay separate: only path reconstruction reads them.
+/// cache. The word is the whole outcome: no next hops are stored, because
+/// every metric reads only these tie-break-invariant attributes (paths,
+/// when needed, come from the reference simulator, routing/reference.h).
 class RoutingOutcome {
  public:
   /// Empty outcome; reset(n) before use (workspace reuse path).
@@ -56,11 +57,7 @@ class RoutingOutcome {
   /// Re-initializes to the all-unfixed state for `n` ASes, reusing the
   /// existing buffer capacity. This is what makes outcomes cheap to keep in
   /// a long-lived EngineWorkspace.
-  void reset(std::size_t n) {
-    word_.assign(n, kUnfixedWord);
-    next_toward_d_.assign(n, kNoAs);
-    next_toward_m_.assign(n, kNoAs);
-  }
+  void reset(std::size_t n) { word_.assign(n, kUnfixedWord); }
 
   [[nodiscard]] std::size_t num_ases() const noexcept { return word_.size(); }
 
@@ -87,9 +84,8 @@ class RoutingOutcome {
   }
 
   /// The raw packed (type | flags | length) word of v — everything a
-  /// neighbor's candidate scan can observe about v's route, and nothing it
-  /// cannot (next hops are excluded by construction). The seeded engine
-  /// compares these words to decide whether a re-derived state must
+  /// neighbor's candidate scan can observe about v's route. The seeded
+  /// engine compares these words to decide whether a re-derived state must
   /// propagate.
   [[nodiscard]] std::uint32_t packed_word(AsId v) const noexcept {
     return word_[v];
@@ -103,32 +99,17 @@ class RoutingOutcome {
     return d ? HappyStatus::kHappy : HappyStatus::kUnhappy;
   }
 
-  /// A representative most-preferred path from v to the root indicated by
-  /// `toward_destination` (the full AS sequence, ending at d or m). Only
-  /// valid if the corresponding reach flag is set.
-  [[nodiscard]] std::vector<AsId> representative_path(
-      AsId v, bool toward_destination) const;
-
-  /// Next hop of a representative most-preferred route of v toward the
-  /// requested root (kNoAs at origins / routeless ASes). Allocation-free
-  /// building block behind representative_path.
-  [[nodiscard]] AsId next_toward(AsId v, bool toward_destination) const noexcept {
-    return toward_destination ? next_toward_d_[v] : next_toward_m_[v];
-  }
-
-  /// Exact per-AS equality over every attribute, including the
-  /// representative next hops — what the seeded/incremental engine paths
-  /// are tested against (identical bytes, not just identical statistics).
+  /// Exact per-AS equality over every attribute — what the
+  /// seeded/incremental engine paths are tested against (identical bytes,
+  /// not just identical statistics).
   [[nodiscard]] bool operator==(const RoutingOutcome&) const = default;
 
   // --- engine-internal setters (public for the implementation file) -----
   void fix(AsId v, RouteType t, std::uint16_t len, bool reach_d, bool reach_m,
-           bool secure, AsId nh_d, AsId nh_m) noexcept {
+           bool secure) noexcept {
     word_[v] = static_cast<std::uint32_t>(t) | (reach_d ? kReachD : 0u) |
                (reach_m ? kReachM : 0u) | (secure ? kSecure : 0u) |
                (static_cast<std::uint32_t>(len) << kLengthShift);
-    next_toward_d_[v] = nh_d;
-    next_toward_m_[v] = nh_m;
   }
 
  private:
@@ -143,8 +124,6 @@ class RoutingOutcome {
       static_cast<std::uint32_t>(kNoRouteLength) << kLengthShift;
 
   std::vector<std::uint32_t> word_;
-  std::vector<AsId> next_toward_d_;
-  std::vector<AsId> next_toward_m_;
 };
 
 /// Computes the stable routing outcome. Preconditions: destination valid;
@@ -186,19 +165,14 @@ const RoutingOutcome& compute_routing(const AsGraph& g, const Query& q,
                                       const Deployment& deployment,
                                       EngineWorkspace& ws);
 
-/// Hysteresis variant computing into `result`; clobbers ws.normal with the
-/// pre-attack outcome (`result` must not alias ws.normal).
-void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
-                                          const Deployment& deployment,
-                                          EngineWorkspace& ws,
-                                          RoutingOutcome& result);
-
-/// Hysteresis variant that takes the pre-attack outcome of
-/// {q.destination, kNoAs, q.model} under `deployment` as a precomputed
-/// input instead of recomputing it — the destination-grouped sweep
-/// (sim/pair_analysis.h) computes `normal` once per destination and feeds
-/// it to every attacker. `normal` must not alias `result`; ws.normal is
-/// left untouched. Bit-for-bit identical to the recomputing overload.
+/// Hysteresis outcome of `q` into `result`, given `normal`: the pre-attack
+/// outcome of {q.destination, kNoAs, q.model} under `deployment` (the
+/// destination-grouped sweep, sim/pair_analysis.h, computes it once per
+/// destination and feeds it to every attacker). Throws
+/// std::invalid_argument on a malformed query or when `normal` is not
+/// sized to the graph. `normal` must not alias `result`; uses ws.fixed and
+/// ws.frontier as scratch. Bit-for-bit identical to the allocating
+/// compute_routing_with_hysteresis.
 void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
                                           const Deployment& deployment,
                                           EngineWorkspace& ws,
@@ -226,9 +200,9 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
 //    so the lengths are settled first with a DynamicSWSF-FP fixpoint
 //    (Ramalingam-Reps: handles both shortenings and lengthenings, visits
 //    only ASes whose one-provider-hop lookahead disagrees with their
-//    length), and the flags/next hops are then re-derived in increasing
-//    final length for every AS whose min-length provider bucket could
-//    have changed.
+//    length), and the flags are then re-derived in increasing final
+//    length for every AS whose min-length provider bucket could have
+//    changed.
 //
 // The result is bit-for-bit identical to a full compute_routing_into of
 // the same query.
@@ -236,13 +210,13 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
 // Twin lane. Under security 3rd, security only breaks ties, so every AS's
 // route type and length is the same for any deployment S (Appendix E.1):
 // the attacked state and the S = emptyset attacked state of one (d, m)
-// differ only in flags and next hops. compute_routing_seeded_twin_into
-// derives both in one traversal. The customer-heap order, the peer
-// touched-list, the provider dist/rhs fixpoint and the restate queue read
-// only types and lengths, so one copy serves both lanes; each re-derived
-// AS runs one neighbor scan feeding two candidate sets (the twin lane
-// never validates), and a change propagates when either lane's packed
-// word changed. Because both lanes pop in the same order, every supplier
+// differ only in flags. compute_routing_seeded_twin_into derives both in
+// one traversal. The customer-heap order, the peer touched-list, the
+// provider dist/rhs fixpoint and the restate queue read only types and
+// lengths, so one copy serves both lanes; each re-derived AS runs one
+// neighbor scan feeding two candidate sets (the twin lane never
+// validates), and a change propagates when either lane's packed word
+// changed. Because both lanes pop in the same order, every supplier
 // is final in both lanes before its consumers re-derive, and re-deriving
 // an AS whose inputs did not change in one lane reproduces that lane's
 // bytes — so each lane is bit-for-bit identical to its own full
@@ -291,11 +265,6 @@ void compute_routing_seeded_twin_into(const AsGraph& g, const Query& q,
                                       const RoutingOutcome& insecure_baseline,
                                       RoutingOutcome& result,
                                       RoutingOutcome& insecure_result);
-
-/// Convenience: hysteresis outcome into ws.primary.
-const RoutingOutcome& compute_routing_with_hysteresis(
-    const AsGraph& g, const Query& q, const Deployment& deployment,
-    EngineWorkspace& ws);
 
 }  // namespace sbgp::routing
 

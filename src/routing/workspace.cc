@@ -20,7 +20,6 @@ void EngineWorkspace::reserve(std::size_t num_ases) {
   rhs.reserve(num_ases);
   seen.reserve(num_ases);
   seen_bits.reserve(num_ases);
-  candidates.reserve(64);
   reach_d.customer.reserve(num_ases);
   reach_d.peer.reserve(num_ases);
   reach_d.provider.reserve(num_ases);

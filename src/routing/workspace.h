@@ -53,10 +53,12 @@ struct DestBaselineSlot {
 /// analysis:
 ///   - `primary` is the default target (the convenience overloads compute
 ///     into it). Nothing else writes it.
-///   - `normal` is clobbered by compute_routing_with_hysteresis_into's
-///     recomputing overload (pre-attack state); a caller holding its own
-///     pre-attack outcome uses the precomputed-`normal` overload, which
-///     leaves the slot alone.
+///   - `normal` holds a pre-attack state ({d, kNoAs, model}) that the
+///     caller computes into it: the standalone downgrade and root-cause
+///     analyses, and the fused pipeline when it does not cache per
+///     destination. compute_routing_with_hysteresis_into only reads a
+///     caller-given pre-attack state, so no engine entry point writes the
+///     slot.
 ///   - `baseline` holds an S = emptyset state for the standalone paths:
 ///     a workspace-constructed security::PartitionContext (LPk ladders and
 ///     the classify_sources / analyze_downgrades helpers; security 1st
@@ -78,9 +80,9 @@ struct DestBaselineSlot {
 ///   - A `result` argument passed to any *_into entry point must not alias
 ///     a slot the same call reads or clobbers (asserted where cheap).
 /// Scratch members (`fixed`, `frontier`, `frontier2`, `touched`, `changed`,
-/// `dirty`, `dist`, `rhs`, `seen`, `candidates`, `reach_*`) are invalidated
-/// by every compute call; no caller may hold state in them across engine
-/// entry points.
+/// `dirty`, `dist`, `rhs`, `seen`, `reach_*`) are invalidated by every
+/// compute call; no caller may hold state in them across engine entry
+/// points.
 class EngineWorkspace {
  public:
   EngineWorkspace() = default;
@@ -109,12 +111,11 @@ class EngineWorkspace {
   // --- Staged-BFS engine scratch ---------------------------------------
   std::vector<std::uint8_t> fixed;  // per-AS "route fixed" flags
   BucketQueue frontier;             // stage frontier (bucket queue)
-  std::vector<AsId> candidates;     // tie-set candidate buffer (baseline)
 
   // --- Seeded-engine delta scratch (compute_routing_seeded_into) --------
   BucketQueue frontier2;            // 2nd stage frontier (customer delta)
   std::vector<AsId> touched;           // peer-phase candidate list
-  std::vector<AsId> changed;           // rank-changed customer/peer sources
+  std::vector<AsId> changed;           // word-changed customer/peer sources
   std::vector<AsId> dirty;             // provider-delta distance-change list
   std::vector<std::uint16_t> dist;     // provider-delta working lengths
   std::vector<std::uint32_t> rhs;      // provider-delta one-step lookaheads

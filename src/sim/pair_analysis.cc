@@ -164,20 +164,12 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
   if (cfg.analyses.intersects(kNeedsAttacked)) {
     const routing::Query q{d, m, cfg.model};
     if (cfg.hysteresis) {
-      if (cached) {
-        // Hysteresis pins routes of the pre-attack state, which is exactly
-        // the cached per-destination baseline.
-        const auto& normal = ensure_normal();
-        routing::compute_routing_with_hysteresis_into(g, q, dep, ws, normal,
-                                                      ws.primary);
-        po.normal = &normal;
-      } else {
-        // The hysteresis engine computes the pre-attack state as its first
-        // step (into ws.normal), so `normal` comes for free here.
-        routing::compute_routing_with_hysteresis_into(g, q, dep, ws,
-                                                      ws.primary);
-        po.normal = &ws.normal;
-      }
+      // Hysteresis pins routes of the pre-attack state, which is exactly
+      // `normal` (the cached per-destination baseline on the sweep path).
+      const auto& normal = ensure_normal();
+      routing::compute_routing_with_hysteresis_into(g, q, dep, ws, normal,
+                                                    ws.primary);
+      po.normal = &normal;
     } else if (cached && needs_empty &&
                cfg.model == SecurityModel::kSecurityThird) {
       // Security 3rd: the attacked state and its S = emptyset twin share

@@ -53,19 +53,6 @@ TEST(EngineWorkspace, MatchesAllocatingEngineAcrossReuse) {
   }
 }
 
-TEST(EngineWorkspace, HysteresisMatchesAllocatingVariant) {
-  util::Rng rng(7);
-  EngineWorkspace ws;
-  const auto g = random_gr_graph(150, rng);
-  const auto dep = random_deployment(g.num_ases(), 0.5, rng);
-  for (const auto model : kAllSecurityModels) {
-    const Query q{3, 97, model};
-    const auto fresh = compute_routing_with_hysteresis(g, q, dep);
-    const auto& reused = compute_routing_with_hysteresis(g, q, dep, ws);
-    expect_same_outcome(fresh, reused);
-  }
-}
-
 TEST(EngineWorkspace, BaselineMatchesAllocatingVariant) {
   util::Rng rng(42);
   EngineWorkspace ws;
@@ -182,7 +169,7 @@ TEST(EngineWorkspace, OutcomeContextRejectsInvalidInputs) {
 
 TEST(EngineWorkspace, OutcomeResetClearsPreviousState) {
   RoutingOutcome out(5);
-  out.fix(3, RouteType::kCustomer, 2, true, true, true, 1, 2);
+  out.fix(3, RouteType::kCustomer, 2, true, true, true);
   out.reset(5);
   EXPECT_EQ(out.type(3), RouteType::kNone);
   EXPECT_EQ(out.length(3), kNoRouteLength);

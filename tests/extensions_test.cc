@@ -7,6 +7,8 @@
 #include "security/case_studies.h"
 #include "test_support.h"
 #include "topology/generator.h"
+#include "topology/registry.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace sbgp::routing {
@@ -93,6 +95,61 @@ TEST(Hysteresis, MatchesPlainEngineUnderSecurityFirst) {
     if (v == d || v == m) continue;
     EXPECT_EQ(plain.secure_route(v), sticky.secure_route(v)) << v;
     EXPECT_EQ(plain.happy(v), sticky.happy(v)) << v;
+  }
+}
+
+// Golden packed-word hashes of the hysteresis engine. Which secure route an
+// AS pins decides whether the attacker sits on it, so every byte of the
+// attacked state depends on the representative route the engine follows
+// from the normal state; no committed baseline has a hysteresis row, so
+// these constants are what pins that choice. Each config hashes (FNV-1a,
+// byte-wise over every packed word of every queried outcome) 120 random
+// attacked (d, m) pairs on one tiny-500 trial under one random deployment.
+TEST(Hysteresis, GoldenPackedWordHashes) {
+  struct Config {
+    std::uint64_t trial;
+    int secure_percent;
+    SecurityModel model;
+    std::uint64_t hash;
+  };
+  const Config configs[] = {
+      {0, 50, SecurityModel::kSecurityFirst, 0x978369a2a683cba9ull},
+      {0, 50, SecurityModel::kSecuritySecond, 0xaee07e78dcc5d003ull},
+      {0, 50, SecurityModel::kSecurityThird, 0xef9e6ebae21c6fefull},
+      {0, 90, SecurityModel::kSecurityFirst, 0xb5546f79c131edb8ull},
+      {0, 90, SecurityModel::kSecuritySecond, 0x9002413ea8dc4dacull},
+      {0, 90, SecurityModel::kSecurityThird, 0xd214362c44a4cf33ull},
+      {1, 50, SecurityModel::kSecurityFirst, 0x6441cb3d697970dcull},
+      {1, 50, SecurityModel::kSecuritySecond, 0x3cc724f379134e45ull},
+      {1, 50, SecurityModel::kSecurityThird, 0x6e838a985424eb3aull},
+      {1, 90, SecurityModel::kSecurityFirst, 0x8ac4d53f171267c5ull},
+      {1, 90, SecurityModel::kSecuritySecond, 0x81a4dfae1df10ff3ull},
+      {1, 90, SecurityModel::kSecurityThird, 0xe10d51a2a28d6c96ull},
+  };
+  for (const Config& c : configs) {
+    const auto topo = topology::generate_trial("tiny-500", 7, c.trial);
+    const auto& g = topo.graph;
+    const auto n = static_cast<std::uint32_t>(g.num_ases());
+    util::Rng rng(1000 * c.trial + c.secure_percent);
+    const auto dep = random_deployment(n, c.secure_percent / 100.0, rng);
+    std::uint64_t h = util::kFnv1aOffset;
+    for (int pair = 0; pair < 120; ++pair) {
+      const auto d = static_cast<AsId>(rng.next_below(n));
+      auto m = static_cast<AsId>(rng.next_below(n - 1));
+      if (m >= d) ++m;
+      const auto out =
+          compute_routing_with_hysteresis(g, {d, m, c.model}, dep);
+      for (AsId v = 0; v < n; ++v) {
+        const std::uint32_t word = out.packed_word(v);
+        for (int byte = 0; byte < 4; ++byte) {
+          h ^= (word >> (8 * byte)) & 0xFFu;
+          h *= util::kFnv1aPrime;
+        }
+      }
+    }
+    EXPECT_EQ(h, c.hash) << "trial " << c.trial << ", "
+                         << c.secure_percent << "% secure, "
+                         << to_string(c.model);
   }
 }
 

@@ -26,17 +26,13 @@ TEST(PackedOutcome, ExhaustiveFixRoundTrip) {
       const bool reach_m = (flags & 2) != 0;
       const bool secure = (flags & 4) != 0;
       for (const std::uint16_t len : kBoundaryLengths) {
-        const AsId nh_d = reach_d ? 2 : kNoAs;
-        const AsId nh_m = reach_m ? 1 : kNoAs;
-        o.fix(0, t, len, reach_d, reach_m, secure, nh_d, nh_m);
+        o.fix(0, t, len, reach_d, reach_m, secure);
         EXPECT_EQ(o.type(0), t);
         EXPECT_EQ(o.length(0), len);
         EXPECT_EQ(o.reaches_destination(0), reach_d);
         EXPECT_EQ(o.reaches_attacker(0), reach_m);
         EXPECT_EQ(o.secure_route(0), secure);
         EXPECT_EQ(o.has_route(0), t != RouteType::kNone);
-        EXPECT_EQ(o.next_toward(0, true), nh_d);
-        EXPECT_EQ(o.next_toward(0, false), nh_m);
         // Reserved bits stay zero: the word is exactly its three fields.
         EXPECT_EQ(o.packed_word(0) & 0xFFC0u, 0u);
         EXPECT_EQ(o.packed_word(0),
@@ -53,7 +49,7 @@ TEST(PackedOutcome, ExhaustiveFixRoundTrip) {
 
 TEST(PackedOutcome, ResetYieldsUnfixedState) {
   RoutingOutcome o(2);
-  o.fix(1, RouteType::kCustomer, 3, true, true, true, 0, 0);
+  o.fix(1, RouteType::kCustomer, 3, true, true, true);
   o.reset(2);
   for (AsId v = 0; v < 2; ++v) {
     EXPECT_EQ(o.type(v), RouteType::kNone);
@@ -62,8 +58,6 @@ TEST(PackedOutcome, ResetYieldsUnfixedState) {
     EXPECT_FALSE(o.reaches_destination(v));
     EXPECT_FALSE(o.reaches_attacker(v));
     EXPECT_FALSE(o.secure_route(v));
-    EXPECT_EQ(o.next_toward(v, true), kNoAs);
-    EXPECT_EQ(o.next_toward(v, false), kNoAs);
   }
   EXPECT_EQ(RoutingOutcome(2), o);
 }
@@ -74,49 +68,39 @@ TEST(PackedOutcome, ResetYieldsUnfixedState) {
 TEST(PackedOutcome, EqualitySensitivityPerField) {
   const auto base = [] {
     RoutingOutcome o(2);
-    o.fix(0, RouteType::kCustomer, 7, true, false, false, 1, kNoAs);
+    o.fix(0, RouteType::kCustomer, 7, true, false, false);
     return o;
   };
   EXPECT_EQ(base(), base());
 
   {
     RoutingOutcome o = base();  // type differs
-    o.fix(0, RouteType::kPeer, 7, true, false, false, 1, kNoAs);
+    o.fix(0, RouteType::kPeer, 7, true, false, false);
     EXPECT_NE(o, base());
   }
   {
     RoutingOutcome o = base();  // length differs
-    o.fix(0, RouteType::kCustomer, 8, true, false, false, 1, kNoAs);
+    o.fix(0, RouteType::kCustomer, 8, true, false, false);
     EXPECT_NE(o, base());
   }
   {
     RoutingOutcome o = base();  // reach-d flag differs
-    o.fix(0, RouteType::kCustomer, 7, false, false, false, 1, kNoAs);
+    o.fix(0, RouteType::kCustomer, 7, false, false, false);
     EXPECT_NE(o, base());
   }
   {
     RoutingOutcome o = base();  // reach-m flag differs
-    o.fix(0, RouteType::kCustomer, 7, true, true, false, 1, kNoAs);
+    o.fix(0, RouteType::kCustomer, 7, true, true, false);
     EXPECT_NE(o, base());
   }
   {
     RoutingOutcome o = base();  // secure flag differs
-    o.fix(0, RouteType::kCustomer, 7, true, false, true, 1, kNoAs);
-    EXPECT_NE(o, base());
-  }
-  {
-    RoutingOutcome o = base();  // next hop toward d differs
-    o.fix(0, RouteType::kCustomer, 7, true, false, false, 0, kNoAs);
-    EXPECT_NE(o, base());
-  }
-  {
-    RoutingOutcome o = base();  // next hop toward m differs
-    o.fix(0, RouteType::kCustomer, 7, true, false, false, 1, 0);
+    o.fix(0, RouteType::kCustomer, 7, true, false, true);
     EXPECT_NE(o, base());
   }
   {
     RoutingOutcome o = base();  // a different AS fixed
-    o.fix(1, RouteType::kCustomer, 7, true, false, false, 1, kNoAs);
+    o.fix(1, RouteType::kCustomer, 7, true, false, false);
     EXPECT_NE(o, base());
   }
 }

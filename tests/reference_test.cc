@@ -4,6 +4,10 @@
 // the dynamic behaviours the wedgie analysis depends on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "routing/reference.h"
 #include "test_support.h"
 #include "topology/generator.h"
@@ -95,17 +99,33 @@ TEST(Reference, IncrementalReconvergenceMatchesFreshRun) {
 }
 
 TEST(Reference, RouteTypeAndAttackerAccessors) {
-  const auto g = test::Figure2::graph();
-  ReferenceSimulator ref(g, test::Figure2::deployment());
-  const Query q{test::Figure2::kLevel3, test::Figure2::kAttacker,
+  using test::Figure2;
+  const auto g = Figure2::graph();
+  ReferenceSimulator ref(g, Figure2::deployment());
+  const Query q{Figure2::kLevel3, Figure2::kAttacker,
                 SecurityModel::kSecuritySecond};
-  ASSERT_TRUE(ref.run(q, 5).converged);
-  EXPECT_EQ(ref.route_type(test::Figure2::kLevel3), RouteType::kOrigin);
-  EXPECT_EQ(ref.route_type(test::Figure2::kENom), RouteType::kPeer);
-  EXPECT_TRUE(ref.routes_to_attacker(test::Figure2::kENom));
-  EXPECT_FALSE(ref.routes_to_attacker(test::Figure2::kDod));
-  EXPECT_TRUE(ref.secure_route(test::Figure2::kDod));
-  EXPECT_FALSE(ref.secure_route(test::Figure2::kENom));
+  // The stable state is unique (Theorem 2.1), so every activation order
+  // must converge to the same routes — including the full Figure 2 paths:
+  // eNom downgrades to the bogus route via Cogent and PCCW, while DoD keeps
+  // its secure route straight to Level3.
+  const std::vector<AsId> bogus{Figure2::kCogent, Figure2::kPccw,
+                                Figure2::kAttacker, Figure2::kLevel3};
+  const std::vector<AsId> legit{Figure2::kLevel3};
+  for (const std::uint64_t seed : {1, 5, 9, 123}) {
+    SCOPED_TRACE("activation seed " + std::to_string(seed));
+    ref.reset();
+    ASSERT_TRUE(ref.run(q, seed).converged);
+    EXPECT_EQ(ref.route_type(Figure2::kLevel3), RouteType::kOrigin);
+    EXPECT_EQ(ref.route_type(Figure2::kENom), RouteType::kPeer);
+    EXPECT_TRUE(ref.routes_to_attacker(Figure2::kENom));
+    EXPECT_FALSE(ref.routes_to_attacker(Figure2::kDod));
+    EXPECT_TRUE(ref.secure_route(Figure2::kDod));
+    EXPECT_FALSE(ref.secure_route(Figure2::kENom));
+    ASSERT_TRUE(ref.chosen(Figure2::kENom).has_value());
+    EXPECT_EQ(ref.chosen(Figure2::kENom)->path, bogus);
+    ASSERT_TRUE(ref.chosen(Figure2::kDod).has_value());
+    EXPECT_EQ(ref.chosen(Figure2::kDod)->path, legit);
+  }
 }
 
 TEST(Reference, RejectsBadQueries) {

@@ -232,23 +232,6 @@ TEST(Engine, Figure2NoDowngradeWhenSecurityFirst) {
   EXPECT_EQ(out.happy(Figure2::kCogent), HappyStatus::kHappy);
 }
 
-TEST(Engine, Figure2RepresentativePaths) {
-  const auto g = Figure2::graph();
-  const auto dep = Figure2::deployment();
-  const auto out = compute_routing(
-      g, attack(Figure2::kLevel3, Figure2::kAttacker,
-                SecurityModel::kSecuritySecond),
-      dep);
-  const auto bogus = out.representative_path(Figure2::kENom, false);
-  const std::vector<AsId> want{Figure2::kENom, Figure2::kCogent,
-                               Figure2::kPccw, Figure2::kAttacker};
-  EXPECT_EQ(bogus, want);
-  const auto legit = out.representative_path(Figure2::kDod, true);
-  const std::vector<AsId> want_legit{Figure2::kDod, Figure2::kLevel3};
-  EXPECT_EQ(legit, want_legit);
-  EXPECT_THROW(out.representative_path(Figure2::kENom, true), std::logic_error);
-}
-
 // ---------------------------------------------------------------------------
 // Collateral damage via longer secure routes (Figure 14 mechanism).
 // ---------------------------------------------------------------------------

@@ -232,8 +232,6 @@ void expect_outcome_identical(const RoutingOutcome& full,
     ASSERT_EQ(full.reaches_destination(v), seeded.reaches_destination(v));
     ASSERT_EQ(full.reaches_attacker(v), seeded.reaches_attacker(v));
     ASSERT_EQ(full.secure_route(v), seeded.secure_route(v));
-    ASSERT_EQ(full.next_toward(v, true), seeded.next_toward(v, true));
-    ASSERT_EQ(full.next_toward(v, false), seeded.next_toward(v, false));
   }
   EXPECT_TRUE(full == seeded);
 }
@@ -441,9 +439,7 @@ TEST(SeededEngine, TwinRejectsInvalidInput) {
   skewed.fix(victim, skewed.type(victim),
              static_cast<std::uint16_t>(skewed.length(victim) + 1),
              skewed.reaches_destination(victim),
-             skewed.reaches_attacker(victim), skewed.secure_route(victim),
-             skewed.next_toward(victim, true),
-             skewed.next_toward(victim, false));
+             skewed.reaches_attacker(victim), skewed.secure_route(victim));
   try {
     twin({3, 4, SecurityModel::kSecurityThird}, skewed);
     ADD_FAILURE() << "mismatched baselines accepted";
@@ -457,15 +453,16 @@ TEST(SeededEngine, TwinRejectsInvalidInput) {
   EXPECT_NO_THROW(twin({3, 4, SecurityModel::kSecurityThird}, insecure_normal));
 }
 
-TEST(SeededEngine, HysteresisWithPrecomputedNormalMatchesRecomputing) {
-  // The hysteresis overload taking a cached normal outcome must agree with
-  // the self-recomputing overload — the sweep pipeline relies on it.
+TEST(SeededEngine, HysteresisWithPrecomputedNormalMatchesAllocating) {
+  // The sweep pipeline feeds compute_routing_with_hysteresis_into a cached
+  // normal outcome and one long-lived workspace; that must agree with the
+  // allocating call, which computes its own normal in a fresh workspace.
   const auto topo = topology::generate_small_internet(180, 33);
   const auto n = static_cast<std::uint32_t>(topo.graph.num_ases());
   util::Rng rng(8);
   const Deployment dep = random_deployment(n, 0.5, rng);
   EngineWorkspace ws(n);
-  RoutingOutcome normal, recomputed, precomputed;
+  RoutingOutcome normal, precomputed;
   for (const SecurityModel model : kAllSecurityModels) {
     for (int trial = 0; trial < 3; ++trial) {
       const auto d = static_cast<AsId>(rng.next_below(n));
@@ -473,12 +470,32 @@ TEST(SeededEngine, HysteresisWithPrecomputedNormalMatchesRecomputing) {
       if (m == d) m = (m + 1) % n;
       const Query q{d, m, model};
       compute_routing_into(topo.graph, {d, kNoAs, model}, dep, ws, normal);
-      compute_routing_with_hysteresis_into(topo.graph, q, dep, ws, recomputed);
       compute_routing_with_hysteresis_into(topo.graph, q, dep, ws, normal,
                                            precomputed);
       SCOPED_TRACE(std::string(to_string(model)) + " d=" + std::to_string(d) +
                    " m=" + std::to_string(m));
-      expect_outcome_identical(recomputed, precomputed);
+      expect_outcome_identical(
+          compute_routing_with_hysteresis(topo.graph, q, dep), precomputed);
+    }
+  }
+}
+
+TEST(SeededEngine, HysteresisRejectsWronglySizedNormal) {
+  util::Rng rng(12);
+  const AsGraph g = random_gr_graph(40, rng);
+  const Deployment dep = random_deployment(40, 0.5, rng);
+  EngineWorkspace ws;
+  RoutingOutcome result;
+  for (const std::size_t size : {std::size_t{7}, std::size_t{41}}) {
+    const RoutingOutcome normal(size);
+    try {
+      compute_routing_with_hysteresis_into(
+          g, {3, 4, SecurityModel::kSecuritySecond}, dep, ws, normal, result);
+      ADD_FAILURE() << "normal outcome of " << size << " ASes accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::to_string(size)), std::string::npos) << msg;
+      EXPECT_NE(msg.find("40"), std::string::npos) << msg;
     }
   }
 }
