@@ -19,8 +19,12 @@
 #include "routing/engine.h"
 #include "routing/reach.h"
 #include "routing/workspace.h"
+#include "security/collateral.h"
+#include "security/downgrade.h"
 #include "security/happiness.h"
+#include "security/pair_outcomes.h"
 #include "security/partition.h"
+#include "security/rootcause.h"
 #include "sim/batch_executor.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
@@ -497,6 +501,133 @@ void BM_SweepAllFullRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepAllFullRecompute)->Arg(500)->Arg(8000)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
+
+// --- Pair scoring stage: five full passes vs. the changed-set pass --------
+//
+// Only the scoring step of a security-3rd, all-analyses sweep pair, over
+// twin outcomes computed beforehand (sweep_setup's 10 x 8 pairs per
+// iteration). FivePasses is the full path: the partition context over the
+// S = emptyset attacked state and the five O(n) accumulate_into loops.
+// Fused is the cached twin path of sim::accumulate_pair_into: per
+// destination, the source-key totals over its two baselines (amortized
+// over its attackers, as in the sweep); per pair, the O(changed) key swap
+// and the five accumulate_keys. Compare cpu time per item (pair) at equal
+// args. Args: (registry topology size: 500 or 8000).
+
+struct ScoringCase {
+  struct Pair {
+    topology::AsId m;
+    routing::RoutingOutcome attacked;
+    routing::RoutingOutcome attacked_empty;
+    std::vector<topology::AsId> changed;
+  };
+  struct Destination {
+    topology::AsId d;
+    routing::RoutingOutcome normal;
+    routing::RoutingOutcome insecure_empty;
+    std::vector<Pair> pairs;
+  };
+  const topology::GeneratedTopology& topo;
+  routing::Deployment dep;
+  std::vector<Destination> dests;
+  std::size_t pairs = 0;
+};
+
+ScoringCase scoring_case(std::int64_t n) {
+  const auto setup = sweep_setup(n, sim::AnalysisSet::all());
+  const auto& g = setup.topo.graph;
+  ScoringCase sc{setup.topo, setup.dep, {}, 0};
+  routing::EngineWorkspace ws;
+  for (const auto& grp :
+       sim::make_sweep_plan(setup.attackers, setup.dests).groups) {
+    ScoringCase::Destination dest;
+    dest.d = grp.destination;
+    const routing::SecurityModel model = setup.cfg.model;
+    routing::compute_routing_into(g, {dest.d, routing::kNoAs, model}, sc.dep,
+                                  ws, dest.normal);
+    routing::compute_routing_into(
+        g, {dest.d, routing::kNoAs, routing::SecurityModel::kInsecure}, {},
+        ws, dest.insecure_empty);
+    for (const auto m : grp.attackers) {
+      ScoringCase::Pair p;
+      p.m = m;
+      routing::compute_routing_seeded_twin_into(
+          g, {dest.d, m, model}, sc.dep, ws, dest.normal, dest.insecure_empty,
+          p.attacked, p.attacked_empty);
+      p.changed = ws.changed;
+      dest.pairs.push_back(std::move(p));
+      ++sc.pairs;
+    }
+    sc.dests.push_back(std::move(dest));
+  }
+  return sc;
+}
+
+security::PairOutcomes scoring_outcomes(const ScoringCase& sc,
+                                        const ScoringCase::Destination& dest,
+                                        const ScoringCase::Pair& p) {
+  security::PairOutcomes po;
+  po.g = &sc.topo.graph;
+  po.d = dest.d;
+  po.m = p.m;
+  po.dep = &sc.dep;
+  po.normal = &dest.normal;
+  po.attacked = &p.attacked;
+  po.attacked_empty = &p.attacked_empty;
+  return po;
+}
+
+void BM_PairAccumulateFivePasses(benchmark::State& state) {
+  const ScoringCase sc = scoring_case(state.range(0));
+  for (auto _ : state) {
+    sim::PairStats acc;
+    for (const auto& dest : sc.dests) {
+      for (const auto& p : dest.pairs) {
+        security::PairOutcomes po = scoring_outcomes(sc, dest, p);
+        const security::PartitionContext partition(
+            sc.topo.graph, dest.d, p.m, routing::SecurityModel::kSecurityThird,
+            p.attacked_empty);
+        po.partition = &partition;
+        security::accumulate_into(po, acc.happiness);
+        security::accumulate_into(po, acc.partitions);
+        security::accumulate_into(po, acc.downgrades);
+        security::accumulate_into(po, acc.collateral);
+        security::accumulate_into(po, acc.root_causes);
+      }
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * sc.pairs));
+}
+BENCHMARK(BM_PairAccumulateFivePasses)->Arg(500)->Arg(8000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PairAccumulateFused(benchmark::State& state) {
+  const ScoringCase sc = scoring_case(state.range(0));
+  for (auto _ : state) {
+    sim::PairStats acc;
+    for (const auto& dest : sc.dests) {
+      const security::SourceKeyCounts totals = security::baseline_key_counts(
+          dest.normal, dest.insecure_empty, sc.dep, dest.d);
+      for (const auto& p : dest.pairs) {
+        const security::SourceKeyCounts keys = security::pair_key_counts(
+            scoring_outcomes(sc, dest, p), dest.insecure_empty, p.changed,
+            totals);
+        security::accumulate_keys(keys, acc.happiness);
+        security::accumulate_keys(keys, acc.partitions);
+        security::accumulate_keys(keys, acc.downgrades);
+        security::accumulate_keys(keys, acc.collateral);
+        security::accumulate_keys(keys, acc.root_causes);
+      }
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * sc.pairs));
+}
+BENCHMARK(BM_PairAccumulateFused)->Arg(500)->Arg(8000)
+    ->Unit(benchmark::kMillisecond);
 
 // Repeated *small* runner calls — the deployment-rollout access pattern
 // (bench_fig7/fig8: one estimate per rollout step) on the persistent

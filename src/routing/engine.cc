@@ -421,6 +421,12 @@ namespace {
 /// length decision (read off lane 0) and differ only in the flags their
 /// own Candidates scans produce. Every lane's `out` already holds its
 /// baseline; `attacker` is the validated m.
+///
+/// Every AS is re-fixed at most once, against its baseline word, and a fix
+/// is listed in ws.changed exactly when it changed some lane's word. So on
+/// return ws.changed names every AS whose word differs from its baseline
+/// in any lane, each once: m first, then the customer/peer-stage changes,
+/// then the provider-stage changes and drops. d is never re-fixed.
 template <std::size_t kLanes>
 void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
                   EngineWorkspace& ws) {
@@ -597,13 +603,14 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
   //
   //  1. *Lengths* — a DynamicSWSF-FP fixpoint (Ramalingam-Reps). dist[]
   //     starts from the baseline lengths with the word-changed sources
-  //     (ws.changed) substituted; rhs[] is the one-step lookahead, and an
-  //     AS is reprocessed while dist != rhs, handling both shortenings
-  //     (through m's bogus route) and lengthenings (a supplier left the
-  //     provider domain). Any dist == rhs fixpoint of the relation above
-  //     equals the stage's Dijkstra lengths: a finite dist is witnessed by
-  //     a real path (lengths strictly decrease toward a source), and
-  //     induction over final lengths bounds it from above.
+  //     (ws.changed, so far m and the customer/peer changes) substituted;
+  //     rhs[] is the one-step lookahead, and an AS is reprocessed while
+  //     dist != rhs, handling both shortenings (through m's bogus route)
+  //     and lengthenings (a supplier left the provider domain). Any
+  //     dist == rhs fixpoint of the relation above equals the stage's
+  //     Dijkstra lengths: a finite dist is witnessed by a real path
+  //     (lengths strictly decrease toward a source), and induction over
+  //     final lengths bounds it from above.
   //  2. *States* — flags are functions of the final min-length provider
   //     bucket, so every AS whose bucket could have changed (dist changed,
   //     or a provider's dist or word changed) is re-derived with the
@@ -611,7 +618,7 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
   //     changes propagate to customers. A bucket member always has a
   //     strictly smaller final length, so it is committed before its
   //     consumers pop (state changes travel strictly down the length
-  //     order).
+  //     order). Changed words and dropped routes join ws.changed.
   //
   // Baseline bytes are kept wherever neither pass finds a change, and each
   // re-derived AS gets engine-identical candidates, so the result stays
@@ -689,6 +696,7 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
                           /*reach_d=*/false, /*reach_m=*/false,
                           /*secure=*/false);
           }
+          ws.changed.push_back(v);
         }
         continue;
       }
@@ -701,6 +709,7 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
       }
       fix(cands, v, RouteType::kProvider, len);
       if (differs(before, v)) {
+        ws.changed.push_back(v);
         for (const AsId c : ctx.g.customers(v)) add_restate(c);
       }
     }

@@ -222,6 +222,15 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
 // bytes — so each lane is bit-for-bit identical to its own full
 // compute_routing_into.
 //
+// Changed list. Every AS is re-derived at most once, against its baseline
+// word, so on return ws.changed names exactly the ASes whose packed word
+// differs from its baseline in any lane: each once, the attacker always
+// (first), the destination never — the customer/peer-stage changes, the
+// provider-stage restates that changed a word, and the provider routes
+// dropped to kNone. Every other AS keeps its baseline bytes in every lane,
+// which is what lets the fused scoring pass (security/pair_outcomes.h)
+// score a pair in O(changed) from per-destination totals.
+//
 // In kSecurityFirst / kSecuritySecond with a signed origin the secure
 // stages (FSCR/FSPeeR/FSPrvR) also run, and their interleaving is not
 // reproduced here (the attacked instance *removes* m as a secure transit
@@ -240,7 +249,8 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
 /// routing_seed_applicable(q, deployment) (throws std::invalid_argument
 /// otherwise, as for a malformed query); `baseline` must not alias
 /// `result`. Uses ws.fixed, ws.frontier, ws.frontier2, ws.touched,
-/// ws.changed, ws.dirty, ws.dist, ws.rhs and ws.seen as scratch.
+/// ws.changed, ws.dirty, ws.dist, ws.rhs and ws.seen as scratch, and
+/// leaves the changed list (above) in ws.changed.
 void compute_routing_seeded_into(const AsGraph& g, const Query& q,
                                  const Deployment& deployment,
                                  EngineWorkspace& ws,
@@ -257,7 +267,8 @@ void compute_routing_seeded_into(const AsGraph& g, const Query& q,
 /// does not match the graph, or the baselines disagree on the route type or
 /// length of some AS (an O(n) check; the message names the first such AS).
 /// No baseline may alias a result, nor the results each other. Uses the
-/// same scratch as compute_routing_seeded_into.
+/// same scratch as compute_routing_seeded_into; ws.changed then lists the
+/// ASes whose word differs in either lane.
 void compute_routing_seeded_twin_into(const AsGraph& g, const Query& q,
                                       const Deployment& deployment,
                                       EngineWorkspace& ws,

@@ -12,6 +12,7 @@ void EngineWorkspace::reserve(std::size_t num_ases) {
   dest_baseline.context = 0;
   dest_baseline.has_normal = false;
   dest_baseline.has_insecure_empty = false;
+  dest_baseline.has_source_totals = false;
   fixed.reserve(num_ases);
   touched.reserve(num_ases);
   changed.reserve(num_ases);

@@ -18,6 +18,7 @@
 #include "routing/bucket_queue.h"
 #include "routing/engine.h"
 #include "routing/reach.h"
+#include "security/pair_outcomes.h"
 
 namespace sbgp::routing {
 
@@ -32,6 +33,7 @@ struct DestBaselineSlot {
   AsId destination = kNoAs;
   bool has_normal = false;
   bool has_insecure_empty = false;
+  bool has_source_totals = false;
   /// Outcome of {destination, kNoAs, model} under the sweep's deployment —
   /// the `normal` outcome every analysis of the group shares, and the seed
   /// for compute_routing_seeded_into when the model admits it.
@@ -40,6 +42,12 @@ struct DestBaselineSlot {
   /// seed for the S = emptyset *attacked* outcome (always seedable), alone
   /// or as the twin lane next to `normal`.
   RoutingOutcome insecure_empty;
+  /// Per-destination totals of the fused security-3rd scoring pass:
+  /// security::baseline_key_counts over `normal` and `insecure_empty` —
+  /// the summed baseline contribution of every AS v != destination, which
+  /// each pair corrects for the ASes its twin delta changed
+  /// (security/pair_outcomes.h). Computed lazily, like the outcomes.
+  security::SourceKeyCounts source_totals{};
 };
 
 /// Long-lived scratch state for routing computations. Not thread-safe: one
@@ -82,7 +90,10 @@ struct DestBaselineSlot {
 /// Scratch members (`fixed`, `frontier`, `frontier2`, `touched`, `changed`,
 /// `dirty`, `dist`, `rhs`, `seen`, `reach_*`) are invalidated by every
 /// compute call; no caller may hold state in them across engine entry
-/// points.
+/// points. One exception is read between calls: after a seeded call,
+/// `changed` names every AS whose packed word may differ from its baseline
+/// in any lane — each at most once, the attacker always, the destination
+/// never — until the next compute call (see engine.h's seeded block).
 class EngineWorkspace {
  public:
   EngineWorkspace() = default;
@@ -115,7 +126,7 @@ class EngineWorkspace {
   // --- Seeded-engine delta scratch (compute_routing_seeded_into) --------
   BucketQueue frontier2;            // 2nd stage frontier (customer delta)
   std::vector<AsId> touched;           // peer-phase candidate list
-  std::vector<AsId> changed;           // word-changed customer/peer sources
+  std::vector<AsId> changed;           // ASes whose word may differ (below)
   std::vector<AsId> dirty;             // provider-delta distance-change list
   std::vector<std::uint16_t> dist;     // provider-delta working lengths
   std::vector<std::uint32_t> rhs;      // provider-delta one-step lookaheads

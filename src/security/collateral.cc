@@ -8,26 +8,10 @@ CollateralStats count_collateral(const RoutingOutcome& baseline,
                                  const RoutingOutcome& deployed,
                                  const Deployment& dep, routing::AsId d,
                                  routing::AsId m) {
-  using routing::HappyStatus;
   CollateralStats s;
   for (routing::AsId v = 0; v < baseline.num_ases(); ++v) {
     if (v == d || v == m) continue;
-    if (dep.secure.contains(v) || dep.simplex.contains(v)) continue;
-    ++s.insecure_sources;
-    const auto before = baseline.happy(v);
-    const auto after = deployed.happy(v);
-    if (before == HappyStatus::kUnhappy && after == HappyStatus::kHappy) {
-      ++s.benefits;
-    } else if (before == HappyStatus::kHappy &&
-               after == HappyStatus::kUnhappy) {
-      ++s.damages;
-    }
-    if (before != HappyStatus::kHappy && after == HappyStatus::kHappy) {
-      ++s.benefits_upper;
-    } else if (before == HappyStatus::kHappy &&
-               after != HappyStatus::kHappy) {
-      ++s.damages_upper;
-    }
+    add_source(s, !dep.signs_origin(v), baseline.happy(v), deployed.happy(v));
   }
   return s;
 }
@@ -56,6 +40,12 @@ CollateralStats analyze_collateral(const AsGraph& g, routing::AsId d,
 void accumulate_into(const PairOutcomes& po, CollateralStats& acc) {
   acc += count_collateral(*po.attacked_empty, *po.attacked, *po.dep, po.d,
                           po.m);
+}
+
+void accumulate_keys(const SourceKeyCounts& counts, CollateralStats& acc) {
+  add_key_counts(counts, acc, [](CollateralStats& one, const SourceKey& k) {
+    add_source(one, k.outside, k.attacked_empty, k.attacked);
+  });
 }
 
 }  // namespace sbgp::security

@@ -88,9 +88,33 @@ struct CollateralStats {
                                                  const Deployment& dep,
                                                  routing::EngineWorkspace& ws);
 
+/// Counting rule for one source: only sources outside the deployment
+/// count, by their status at S = emptyset (`before`) and under S (`after`).
+inline void add_source(CollateralStats& acc, bool outside,
+                       routing::HappyStatus before,
+                       routing::HappyStatus after) {
+  using routing::HappyStatus;
+  if (!outside) return;
+  ++acc.insecure_sources;
+  if (before == HappyStatus::kUnhappy && after == HappyStatus::kHappy) {
+    ++acc.benefits;
+  } else if (before == HappyStatus::kHappy && after == HappyStatus::kUnhappy) {
+    ++acc.damages;
+  }
+  if (before != HappyStatus::kHappy && after == HappyStatus::kHappy) {
+    ++acc.benefits_upper;
+  } else if (before == HappyStatus::kHappy && after != HappyStatus::kHappy) {
+    ++acc.damages_upper;
+  }
+}
+
 /// Fused-pipeline entry point: counts flips between po.attacked_empty and
 /// po.attacked among sources outside the deployment, adding to `acc`.
 void accumulate_into(const PairOutcomes& po, CollateralStats& acc);
+
+/// Changed-set entry point (security/pair_outcomes.h): adds the counts of
+/// a pair's source keys to `acc`.
+void accumulate_keys(const SourceKeyCounts& counts, CollateralStats& acc);
 
 }  // namespace sbgp::security
 

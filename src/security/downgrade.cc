@@ -40,18 +40,18 @@ void accumulate_into(const PairOutcomes& po, DowngradeStats& acc) {
   const PartitionContext& partition = *po.partition;
   for (AsId v = 0; v < po.g->num_ases(); ++v) {
     if (v == po.d || v == po.m) continue;
-    ++acc.sources;
-    const bool before = normal.secure_route(v);
     const bool during = attacked.secure_route(v);
-    if (before) ++acc.secure_normal;
-    if (before && !during) ++acc.downgraded;
-    if (during) {
-      ++acc.secure_kept;
-      if (partition.classify(v) == PartitionClass::kImmune) {
-        ++acc.kept_and_immune;
-      }
-    }
+    add_source(acc, normal.secure_route(v), during,
+               during && partition.classify(v) == PartitionClass::kImmune);
   }
+}
+
+void accumulate_keys(const SourceKeyCounts& counts, DowngradeStats& acc) {
+  add_key_counts(counts, acc, [](DowngradeStats& one, const SourceKey& k) {
+    add_source(one, k.secure_normal, k.secure_attacked,
+               security_third_class(k.attacked_empty) ==
+                   PartitionClass::kImmune);
+  });
 }
 
 }  // namespace sbgp::security

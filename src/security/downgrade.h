@@ -77,10 +77,28 @@ struct DowngradeStats {
                                                 const Deployment& dep,
                                                 routing::EngineWorkspace& ws);
 
+/// Counting rule for one source: whether its route is secure before and
+/// during the attack, and whether it is immune (standard ladder; read only
+/// when the secure route is kept).
+inline void add_source(DowngradeStats& acc, bool secure_normal,
+                       bool secure_attacked, bool immune) {
+  ++acc.sources;
+  if (secure_normal) ++acc.secure_normal;
+  if (secure_normal && !secure_attacked) ++acc.downgraded;
+  if (secure_attacked) {
+    ++acc.secure_kept;
+    if (immune) ++acc.kept_and_immune;
+  }
+}
+
 /// Fused-pipeline entry point: buckets every source using po.normal,
 /// po.attacked and po.partition (built with the standard LP ladder) and
 /// adds the counts to `acc`.
 void accumulate_into(const PairOutcomes& po, DowngradeStats& acc);
+
+/// Changed-set entry point (security/pair_outcomes.h; security 3rd): adds
+/// the counts of a pair's source keys to `acc`.
+void accumulate_keys(const SourceKeyCounts& counts, DowngradeStats& acc);
 
 }  // namespace sbgp::security
 

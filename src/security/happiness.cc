@@ -15,25 +15,19 @@ void accumulate_into(const PairOutcomes& po, HappyTotals& acc) {
   acc.sources += c.sources;
 }
 
+void accumulate_keys(const SourceKeyCounts& counts, HappyTotals& acc) {
+  add_key_counts(counts, acc, [](HappyTotals& one, const SourceKey& k) {
+    add_source(one, k.attacked);
+  });
+}
+
 HappyCount count_happy(const RoutingOutcome& out, AsId d, AsId m) {
-  HappyCount c;
+  HappyTotals t;
   for (AsId v = 0; v < out.num_ases(); ++v) {
     if (v == d || v == m) continue;
-    ++c.sources;
-    switch (out.happy(v)) {
-      case routing::HappyStatus::kHappy:
-        ++c.happy_lower;
-        ++c.happy_upper;
-        break;
-      case routing::HappyStatus::kEither:
-        ++c.happy_upper;
-        break;
-      case routing::HappyStatus::kUnhappy:
-      case routing::HappyStatus::kDisconnected:
-        break;
-    }
+    add_source(t, out.happy(v));
   }
-  return c;
+  return {t.happy_lower, t.happy_upper, t.sources};
 }
 
 }  // namespace sbgp::security

@@ -78,9 +78,24 @@ struct HappyTotals {
   [[nodiscard]] struct MetricBounds bounds() const;
 };
 
+/// Counting rule for one source, given its status under attack.
+inline void add_source(HappyTotals& acc, routing::HappyStatus attacked) {
+  ++acc.sources;
+  if (attacked == routing::HappyStatus::kHappy) {
+    ++acc.happy_lower;
+    ++acc.happy_upper;
+  } else if (attacked == routing::HappyStatus::kEither) {
+    ++acc.happy_upper;
+  }
+}
+
 /// Fused-pipeline entry point: counts happy sources in po.attacked and adds
 /// them to `acc`.
 void accumulate_into(const PairOutcomes& po, HappyTotals& acc);
+
+/// Changed-set entry point (security/pair_outcomes.h): adds the counts of
+/// a pair's source keys to `acc`.
+void accumulate_keys(const SourceKeyCounts& counts, HappyTotals& acc);
 
 /// Bounds on the metric H once averaged over pairs.
 struct MetricBounds {

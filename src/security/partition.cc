@@ -83,12 +83,7 @@ PartitionClass PartitionContext::classify(AsId v) const {
     // protectable. Perceivable shortest lengths are NOT a substitute: LP
     // can prefer longer routes upstream, making the shortest perceivable
     // length unattainable.
-    const bool rd = base.reaches_destination(v);
-    const bool rm = base.reaches_attacker(v);
-    if (rd && !rm) return PartitionClass::kImmune;
-    // Routes only to m, or no route at all: never happy.
-    if (!rd) return PartitionClass::kDoomed;
-    return PartitionClass::kProtectable;
+    return security_third_class(base.happy(v));
   }
 
   // Security 2nd (Appendix E.2): only the route's LP class (the ladder
@@ -148,12 +143,7 @@ PartitionCounts PartitionContext::counts() const {
   PartitionCounts c;
   for (AsId v = 0; v < g_.num_ases(); ++v) {
     if (v == d_ || v == m_) continue;
-    ++c.sources;
-    switch (classify(v)) {
-      case PartitionClass::kDoomed: ++c.doomed; break;
-      case PartitionClass::kProtectable: ++c.protectable; break;
-      case PartitionClass::kImmune: ++c.immune; break;
-    }
+    add_source(c, classify(v));
   }
   return c;
 }
@@ -193,6 +183,12 @@ PartitionShares partition_shares(const AsGraph& g, AsId d, AsId m,
 
 void accumulate_into(const PairOutcomes& po, PartitionCounts& acc) {
   acc += po.partition->counts();
+}
+
+void accumulate_keys(const SourceKeyCounts& counts, PartitionCounts& acc) {
+  add_key_counts(counts, acc, [](PartitionCounts& one, const SourceKey& k) {
+    add_source(one, security_third_class(k.attacked_empty));
+  });
 }
 
 }  // namespace sbgp::security

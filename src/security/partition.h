@@ -122,6 +122,31 @@ struct PartitionCounts {
   }
 };
 
+/// Counting rule for one source of the given class.
+inline void add_source(PartitionCounts& acc, PartitionClass cls) {
+  ++acc.sources;
+  switch (cls) {
+    case PartitionClass::kDoomed: ++acc.doomed; break;
+    case PartitionClass::kProtectable: ++acc.protectable; break;
+    case PartitionClass::kImmune: ++acc.immune; break;
+  }
+}
+
+/// Security 3rd, standard ladder (Appendix E.1): the class of a source from
+/// its own status in the S = emptyset attacked state. Its tie set decides:
+/// only routes to d (happy) is immune, routes to both (either) is
+/// protectable, and no route to d (unhappy, disconnected) is doomed.
+[[nodiscard]] constexpr PartitionClass security_third_class(
+    routing::HappyStatus empty_attacked) noexcept {
+  switch (empty_attacked) {
+    case routing::HappyStatus::kHappy: return PartitionClass::kImmune;
+    case routing::HappyStatus::kEither: return PartitionClass::kProtectable;
+    case routing::HappyStatus::kUnhappy:
+    case routing::HappyStatus::kDisconnected: break;
+  }
+  return PartitionClass::kDoomed;
+}
+
 /// Deployment-invariant classification state for one (m, d) pair;
 /// individual sources are then classified in O(deg(v)).
 ///
@@ -173,6 +198,10 @@ class PartitionContext {
 /// Fused-pipeline entry point: classifies every source via po.partition and
 /// adds the integer class counts to `acc`.
 void accumulate_into(const PairOutcomes& po, PartitionCounts& acc);
+
+/// Changed-set entry point (security/pair_outcomes.h; security 3rd,
+/// standard ladder): adds the counts of a pair's source keys to `acc`.
+void accumulate_keys(const SourceKeyCounts& counts, PartitionCounts& acc);
 
 }  // namespace sbgp::security
 

@@ -41,41 +41,23 @@ RootCauseStats analyze_root_causes(const AsGraph& g, routing::AsId d,
 }
 
 void accumulate_into(const PairOutcomes& po, RootCauseStats& acc) {
-  using routing::HappyStatus;
   const routing::RoutingOutcome& normal = *po.normal;
   const routing::RoutingOutcome& attacked = *po.attacked;
   const routing::RoutingOutcome& baseline = *po.attacked_empty;
   const Deployment& dep = *po.dep;
   for (routing::AsId v = 0; v < po.g->num_ases(); ++v) {
     if (v == po.d || v == po.m) continue;
-    ++acc.sources;
-    const bool happy0 = baseline.happy(v) == HappyStatus::kHappy;
-    const bool happy1 = attacked.happy(v) == HappyStatus::kHappy;
-    if (happy0) ++acc.happy_baseline;
-    if (happy1) ++acc.happy_deployed;
-
-    if (normal.secure_route(v)) {
-      ++acc.secure_normal;
-      if (!attacked.secure_route(v)) {
-        ++acc.downgraded;
-      } else if (happy0) {
-        ++acc.secure_wasted;
-      } else {
-        ++acc.secure_protecting;
-      }
-    }
-    const bool outside =
-        !dep.secure.contains(v) && !dep.simplex.contains(v);
-    if (outside) {
-      const auto b = baseline.happy(v);
-      const auto a = attacked.happy(v);
-      if (b == HappyStatus::kUnhappy && a == HappyStatus::kHappy) {
-        ++acc.collateral_benefits;
-      } else if (b == HappyStatus::kHappy && a == HappyStatus::kUnhappy) {
-        ++acc.collateral_damages;
-      }
-    }
+    add_source(acc, baseline.happy(v), attacked.happy(v),
+               normal.secure_route(v), attacked.secure_route(v),
+               !dep.signs_origin(v));
   }
+}
+
+void accumulate_keys(const SourceKeyCounts& counts, RootCauseStats& acc) {
+  add_key_counts(counts, acc, [](RootCauseStats& one, const SourceKey& k) {
+    add_source(one, k.attacked_empty, k.attacked, k.secure_normal,
+               k.secure_attacked, k.outside);
+  });
 }
 
 }  // namespace sbgp::security

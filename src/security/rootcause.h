@@ -101,9 +101,44 @@ struct RootCauseStats {
                                                  const Deployment& dep,
                                                  routing::EngineWorkspace& ws);
 
+/// Counting rule for one source: its status at S = emptyset (`empty`) and
+/// under S (`attacked`), whether its route is secure before and during the
+/// attack, and whether it is outside the deployment.
+inline void add_source(RootCauseStats& acc, routing::HappyStatus empty,
+                       routing::HappyStatus attacked, bool secure_normal,
+                       bool secure_attacked, bool outside) {
+  using routing::HappyStatus;
+  ++acc.sources;
+  const bool happy0 = empty == HappyStatus::kHappy;
+  const bool happy1 = attacked == HappyStatus::kHappy;
+  if (happy0) ++acc.happy_baseline;
+  if (happy1) ++acc.happy_deployed;
+  if (secure_normal) {
+    ++acc.secure_normal;
+    if (!secure_attacked) {
+      ++acc.downgraded;
+    } else if (happy0) {
+      ++acc.secure_wasted;
+    } else {
+      ++acc.secure_protecting;
+    }
+  }
+  if (outside) {
+    if (empty == HappyStatus::kUnhappy && happy1) {
+      ++acc.collateral_benefits;
+    } else if (happy0 && attacked == HappyStatus::kUnhappy) {
+      ++acc.collateral_damages;
+    }
+  }
+}
+
 /// Fused-pipeline entry point: buckets every source using po.normal,
 /// po.attacked and po.attacked_empty, adding the counts to `acc`.
 void accumulate_into(const PairOutcomes& po, RootCauseStats& acc);
+
+/// Changed-set entry point (security/pair_outcomes.h): adds the counts of
+/// a pair's source keys to `acc`.
+void accumulate_keys(const SourceKeyCounts& counts, RootCauseStats& acc);
 
 }  // namespace sbgp::security
 

@@ -183,7 +183,8 @@ campaign_metric_names();
 /// Traffic-weighted counterparts: the same 9 ratios computed over the w_*
 /// mirrors of PairStats. Under a uniform traffic model every ratio is the
 /// identical double to its unweighted counterpart (the scale cancels
-/// exactly — both operands stay below 2^53).
+/// exactly — both operands stay below 2^53, which ExperimentResolver
+/// enforces by rejecting larger uniform scales).
 [[nodiscard]] std::array<double, kNumCampaignMetrics>
 campaign_weighted_metrics(const PairStats& stats);
 

@@ -1,6 +1,8 @@
 #include "sim/experiment.h"
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -107,6 +109,30 @@ ResolvedExperiment ExperimentResolver::resolve(const ExperimentSpec& spec) {
        re.attackers.front() == re.destinations.front())) {
     throw std::invalid_argument("ExperimentResolver: spec '" + spec.label +
                                 "' has no valid (attacker, destination) pair");
+  }
+
+  if (spec.traffic.kind == TrafficModel::Kind::kUniform) {
+    // Uniform weights promise weighted ratios identical to the unweighted
+    // ones (campaign.h), which holds only while every weighted counter is
+    // an exact double: scale x (n - 1) sources x pairs must stay below
+    // 2^53.
+    std::uint64_t pairs = 0;
+    for (const AsId d : re.destinations) {
+      for (const AsId m : re.attackers) pairs += m != d ? 1 : 0;
+    }
+    std::uint64_t bound = 0;
+    if (__builtin_mul_overflow(spec.traffic.scale, g_.num_ases() - 1,
+                               &bound) ||
+        __builtin_mul_overflow(bound, pairs, &bound) ||
+        bound >= std::uint64_t{1} << 53) {
+      throw std::invalid_argument(
+          "ExperimentResolver: spec '" + spec.label + "' uniform scale " +
+          std::to_string(spec.traffic.scale) + " x " +
+          std::to_string(g_.num_ases() - 1) + " sources x " +
+          std::to_string(pairs) +
+          " pairs reaches 2^53: weighted ratios would no longer equal the "
+          "unweighted ones exactly");
+    }
   }
 
   re.cfg.analyses = spec.analyses;

@@ -121,8 +121,11 @@ class ExperimentResolver {
   /// Resolves one spec: builds or reuses the rollout, samples the pair
   /// sets, and fills the row header. Throws std::invalid_argument (naming
   /// the registered scenarios) on unknown scenario names, and on
-  /// out-of-range rollout steps, empty analysis sets, or pair samples
-  /// with no valid (attacker != destination) pair.
+  /// out-of-range rollout steps, empty analysis sets, pair samples with no
+  /// valid (attacker != destination) pair, and uniform traffic models
+  /// whose weighted counters could reach 2^53 (scale x (n - 1) x pairs),
+  /// where weighted ratios would stop being exact copies of the unweighted
+  /// ones.
   [[nodiscard]] ResolvedExperiment resolve(const ExperimentSpec& spec);
 
  private:

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "routing/workspace.h"
@@ -118,6 +119,7 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
     db.destination = d;
     db.has_normal = false;
     db.has_insecure_empty = false;
+    db.has_source_totals = false;
   }
   const auto ensure_normal = [&]() -> const routing::RoutingOutcome& {
     const routing::Query nq{d, routing::kNoAs, cfg.model};
@@ -161,6 +163,10 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
       (empty_classifies &&
        (wants_downgrades || (wants_partitions && lp_standard)));
 
+  // Set on the twin path when every selected analysis can be scored from
+  // the source-key counts (security/pair_outcomes.h): LPk partitions read
+  // neighbors' words, so they keep the full passes.
+  bool score_changed = false;
   if (cfg.analyses.intersects(kNeedsAttacked)) {
     const routing::Query q{d, m, cfg.model};
     if (cfg.hysteresis) {
@@ -178,7 +184,9 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
       routing::compute_routing_seeded_twin_into(
           g, q, dep, ws, ensure_normal(), ensure_insecure_empty(), ws.primary,
           ws.attacked_empty);
+      po.normal = &db.normal;
       po.attacked_empty = &ws.attacked_empty;
+      score_changed = !wants_partitions || lp_standard;
     } else if (cached && routing::routing_seed_applicable(q, dep)) {
       // Monotone case: derive the attacked state incrementally from the
       // cached baseline (bit-for-bit identical to the full engine).
@@ -214,8 +222,33 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
     }
   }
 
+  // The twin delta left its changed list in ws.changed: swap those ASes'
+  // baseline keys for their pair keys in the destination's totals.
+  std::optional<security::SourceKeyCounts> keys;
+  if (score_changed) {
+    if (!db.has_source_totals) {
+      db.source_totals =
+          security::baseline_key_counts(db.normal, db.insecure_empty, dep, d);
+      db.has_source_totals = true;
+    }
+    keys = security::pair_key_counts(po, db.insecure_empty, ws.changed,
+                                     db.source_totals);
+  }
+  // One analysis's counters for this pair, from the keys or a full pass.
+  const auto score = [&](auto& total, auto& weighted) {
+    std::remove_cvref_t<decltype(total)> local;
+    if (keys) {
+      security::accumulate_keys(*keys, local);
+    } else {
+      security::accumulate_into(po, local);
+    }
+    total += local;
+    weighted.add_scaled(local, weight);
+  };
+
   // LPk ladders and security 1st build their own invariant state (into
   // ws.baseline or the reach buffers, which no outcome above touches).
+  // Key-scored pairs need no context: a source's class is in its key.
   std::optional<security::PartitionContext> partition;
   const auto make_partition = [&](LocalPrefPolicy lp) {
     if (empty_classifies && lp.kind == LocalPrefPolicy::Kind::kStandard) {
@@ -223,43 +256,25 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
     } else {
       partition.emplace(g, d, m, cfg.model, lp, ws);
     }
+    po.partition = &*partition;
   };
   if (wants_partitions) {
-    make_partition(cfg.lp);
-    po.partition = &*partition;
-    security::PartitionCounts local;
-    security::accumulate_into(po, local);
-    acc.partitions += local;
-    acc.w_partitions.add_scaled(local, weight);
+    if (!keys) make_partition(cfg.lp);
+    score(acc.partitions, acc.w_partitions);
   }
-  if (wants_downgrades && (!partition || !lp_standard)) {
+  if (wants_downgrades && !keys && (!partition || !lp_standard)) {
     make_partition(LocalPrefPolicy::standard());
   }
 
   if (cfg.analyses.contains(Analysis::kHappiness)) {
-    security::HappyTotals local;
-    security::accumulate_into(po, local);
-    acc.happiness += local;
-    acc.w_happiness.add_scaled(local, weight);
+    score(acc.happiness, acc.w_happiness);
   }
-  if (wants_downgrades) {
-    po.partition = &*partition;
-    security::DowngradeStats local;
-    security::accumulate_into(po, local);
-    acc.downgrades += local;
-    acc.w_downgrades.add_scaled(local, weight);
-  }
+  if (wants_downgrades) score(acc.downgrades, acc.w_downgrades);
   if (cfg.analyses.contains(Analysis::kCollateral)) {
-    security::CollateralStats local;
-    security::accumulate_into(po, local);
-    acc.collateral += local;
-    acc.w_collateral.add_scaled(local, weight);
+    score(acc.collateral, acc.w_collateral);
   }
   if (cfg.analyses.contains(Analysis::kRootCause)) {
-    security::RootCauseStats local;
-    security::accumulate_into(po, local);
-    acc.root_causes += local;
-    acc.w_root_causes.add_scaled(local, weight);
+    score(acc.root_causes, acc.w_root_causes);
   }
 }
 

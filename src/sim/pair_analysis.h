@@ -28,7 +28,12 @@
 // (routing::compute_routing_seeded_into) — bit-for-bit identical to the
 // full engine, several times cheaper per pair. The S = emptyset attacked
 // outcome is computed at most once per pair and shared by collateral, root
-// causes, and the partition and downgrade contexts.
+// causes, and the partition and downgrade contexts. Under security 3rd
+// (standard-ladder partitions or none), where one twin-lane delta derives
+// both attacked outcomes, the pair is also scored without a pass over
+// every AS: per-destination source-key totals, corrected for the ASes the
+// delta changed, feed each analysis's accumulate_keys
+// (security/pair_outcomes.h).
 //
 // Determinism contract: PairStats is all integers, so per-worker partials
 // merge to bit-for-bit identical totals for any thread count (see

@@ -20,6 +20,7 @@
 #include "sim/runner.h"
 #include "test_support.h"
 #include "topology/generator.h"
+#include "topology/registry.h"
 
 namespace sbgp::sim {
 namespace {
@@ -76,6 +77,40 @@ constexpr Analysis kAllAnalyses[] = {
     Analysis::kHappiness, Analysis::kPartitions, Analysis::kDowngrades,
     Analysis::kCollateral, Analysis::kRootCause};
 
+/// The analyses of subset `combo` (bit b selects kAllAnalyses[b]).
+AnalysisSet analyses_of(std::uint8_t combo) {
+  AnalysisSet set;
+  for (std::size_t b = 0; b < 5; ++b) {
+    if ((combo & (1u << b)) != 0) set |= kAllAnalyses[b];
+  }
+  return set;
+}
+
+/// Every counter of an analysis outside `selected`, and its weighted
+/// mirror, must stay zero: a scoring pass fills only what was asked for.
+void expect_unselected_zero(AnalysisSet selected, const PairStats& s) {
+  if (!selected.contains(Analysis::kHappiness)) {
+    EXPECT_EQ(s.happiness, security::HappyTotals{});
+    EXPECT_EQ(s.w_happiness, security::HappyTotals{});
+  }
+  if (!selected.contains(Analysis::kPartitions)) {
+    EXPECT_EQ(s.partitions, security::PartitionCounts{});
+    EXPECT_EQ(s.w_partitions, security::PartitionCounts{});
+  }
+  if (!selected.contains(Analysis::kDowngrades)) {
+    EXPECT_EQ(s.downgrades, security::DowngradeStats{});
+    EXPECT_EQ(s.w_downgrades, security::DowngradeStats{});
+  }
+  if (!selected.contains(Analysis::kCollateral)) {
+    EXPECT_EQ(s.collateral, security::CollateralStats{});
+    EXPECT_EQ(s.w_collateral, security::CollateralStats{});
+  }
+  if (!selected.contains(Analysis::kRootCause)) {
+    EXPECT_EQ(s.root_causes, security::RootCauseStats{});
+    EXPECT_EQ(s.w_root_causes, security::RootCauseStats{});
+  }
+}
+
 class PairAnalysisTest : public ::testing::Test {
  protected:
   PairAnalysisTest() : topo_(topology::generate_small_internet(250, 17)) {
@@ -131,9 +166,7 @@ TEST_F(PairAnalysisTest, EveryCombinationMatchesStandaloneAnalyses) {
                            std::uint8_t combo) {
       PairAnalysisConfig cfg;
       cfg.model = model;
-      for (std::size_t b = 0; b < 5; ++b) {
-        if ((combo & (1u << b)) != 0) cfg.analyses |= kAllAnalyses[b];
-      }
+      cfg.analyses = analyses_of(combo);
       SCOPED_TRACE(::testing::Message()
                    << "model=" << to_string(model) << " stub mode="
                    << static_cast<int>(mode) << " combo=" << int(combo));
@@ -157,6 +190,7 @@ TEST_F(PairAnalysisTest, EveryCombinationMatchesStandaloneAnalyses) {
       if (cfg.analyses.contains(Analysis::kRootCause)) {
         expect_root_causes_eq(fused.root_causes, expected.root_causes);
       }
+      expect_unselected_zero(cfg.analyses, fused);
     };
     for (const auto model : routing::kAllSecurityModels) {
       const PairStats expected = standalone(model, dep);
@@ -172,6 +206,49 @@ TEST_F(PairAnalysisTest, EveryCombinationMatchesStandaloneAnalyses) {
     for (std::uint8_t combo = 1; combo < 32; ++combo) {
       if ((combo & 0b00110u) == 0) {
         check(SecurityModel::kInsecure, expected, combo);
+      }
+    }
+  }
+}
+
+TEST(PairAnalysisTiny500, ChangedSetScoringMatchesUncachedCalls) {
+  // Security 3rd sweeps score each pair from its destination's source-key
+  // totals and the twin delta's changed list; uncached calls
+  // (sweep_context 0) run the full per-analysis passes. 8 attackers per
+  // destination, so the totals serve several pairs, and gravity weights,
+  // so the w_* mirrors are checked with non-trivial weights too.
+  const auto topo = topology::generate_trial("tiny-500", 20130812, 0);
+  const auto tiers = topo.classify();
+  const auto attackers = sample_ases(non_stub_ases(topo.graph), 8, 31);
+  const auto destinations = sample_ases(all_ases(topo.graph), 8, 32);
+  TrafficModel traffic;
+  traffic.kind = TrafficModel::Kind::kGravity;
+  traffic.seed = 5;
+  const SweepPlan plan = make_sweep_plan(attackers, destinations, traffic);
+  routing::EngineWorkspace ws;
+  for (const auto mode :
+       {deployment::StubMode::kFullSbgp, deployment::StubMode::kSimplex}) {
+    const auto rollout = deployment::t1_t2_rollout(topo.graph, tiers, mode);
+    for (std::size_t step = 0; step < rollout.size(); ++step) {
+      const Deployment& dep = rollout[step].deployment;
+      for (std::uint8_t combo = 1; combo < 32; ++combo) {
+        PairAnalysisConfig cfg;
+        cfg.model = SecurityModel::kSecurityThird;
+        cfg.analyses = analyses_of(combo);
+        SCOPED_TRACE(::testing::Message()
+                     << "stub mode=" << static_cast<int>(mode)
+                     << " step=" << step << " combo=" << int(combo));
+        PairStats uncached;
+        for (const auto& grp : plan.groups) {
+          for (std::size_t k = 0; k < grp.attackers.size(); ++k) {
+            accumulate_pair_into(topo.graph, grp.destination, grp.attackers[k],
+                                 cfg, dep, ws, 0, grp.weights[k], uncached);
+          }
+        }
+        const PairStats grouped =
+            analyze_sweep(topo.graph, plan, cfg, dep).total;
+        EXPECT_EQ(grouped, uncached);
+        expect_unselected_zero(cfg.analyses, grouped);
       }
     }
   }

@@ -7,7 +7,10 @@
 // asynchronous activation orders doubles as a check of Theorem 2.1.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "deployment/scenario.h"
 #include "routing/baseline.h"
@@ -236,8 +239,37 @@ void expect_outcome_identical(const RoutingOutcome& full,
   EXPECT_TRUE(full == seeded);
 }
 
-/// Runs seeded-vs-full over every admissible model for one (g, dep, d, m)
-/// and checks that inadmissible queries are rejected.
+/// The changed list a seeded call leaves in ws.changed, given each lane's
+/// (baseline, result): it names exactly the ASes whose packed word differs
+/// from the baseline in some lane, none twice, the attacker always and the
+/// destination never.
+void expect_changed_list(
+    const EngineWorkspace& ws, AsId d, AsId m,
+    std::initializer_list<std::pair<const RoutingOutcome&,
+                                    const RoutingOutcome&>> lanes) {
+  const std::size_t n = lanes.begin()->first.num_ases();
+  std::vector<int> listed(n, 0);
+  for (const AsId v : ws.changed) {
+    ASSERT_LT(v, n);
+    ++listed[v];
+  }
+  EXPECT_EQ(listed[m], 1) << "attacker " << m;
+  EXPECT_EQ(listed[d], 0) << "destination " << d;
+  for (AsId v = 0; v < n; ++v) {
+    bool differs = false;
+    for (const auto& [baseline, result] : lanes) {
+      differs |= baseline.packed_word(v) != result.packed_word(v);
+    }
+    EXPECT_LE(listed[v], 1) << "AS " << v << " listed twice";
+    EXPECT_EQ(listed[v] != 0, differs)
+        << "AS " << v << (differs ? " changed but is not listed"
+                                  : " is listed but kept its word");
+  }
+}
+
+/// Runs seeded-vs-full (and the changed list) over every admissible model
+/// for one (g, dep, d, m) and checks that inadmissible queries are
+/// rejected.
 void check_seeded_pair(const AsGraph& g, const Deployment& dep, AsId d,
                        AsId m) {
   EngineWorkspace ws(g.num_ases());
@@ -258,6 +290,7 @@ void check_seeded_pair(const AsGraph& g, const Deployment& dep, AsId d,
     }
     compute_routing_into(g, q, dep, ws, full);
     compute_routing_seeded_into(g, q, dep, ws, baseline, seeded);
+    expect_changed_list(ws, d, m, {{baseline, seeded}});
     expect_outcome_identical(full, seeded);
   }
 }
@@ -331,8 +364,8 @@ TEST(SeededEngine, RejectsMalformedQueries) {
 // --- Twin-lane seeded delta (security 3rd + its S = emptyset twin) ---------
 
 /// The twin-lane delta must reproduce, lane for lane, both two single-lane
-/// seeded calls and two full engine runs: word for word and next hop for
-/// next hop.
+/// seeded calls and two full engine runs, word for word; every seeded call
+/// must leave its changed list.
 void check_twin_pair(const AsGraph& g, const Deployment& dep, AsId d, AsId m) {
   SCOPED_TRACE("twin d=" + std::to_string(d) + " m=" + std::to_string(m));
   EngineWorkspace ws(g.num_ases());
@@ -345,9 +378,13 @@ void check_twin_pair(const AsGraph& g, const Deployment& dep, AsId d, AsId m) {
   compute_routing_into(g, q, dep, ws, full);
   compute_routing_into(g, eq, {}, ws, full_empty);
   compute_routing_seeded_into(g, q, dep, ws, normal, seeded);
+  expect_changed_list(ws, d, m, {{normal, seeded}});
   compute_routing_seeded_into(g, eq, {}, ws, insecure_normal, seeded_empty);
+  expect_changed_list(ws, d, m, {{insecure_normal, seeded_empty}});
   compute_routing_seeded_twin_into(g, q, dep, ws, normal, insecure_normal, twin,
                                    twin_empty);
+  expect_changed_list(ws, d, m,
+                      {{normal, twin}, {insecure_normal, twin_empty}});
   expect_outcome_identical(full, twin);
   expect_outcome_identical(full_empty, twin_empty);
   expect_outcome_identical(seeded, twin);

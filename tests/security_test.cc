@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "routing/engine.h"
 #include "security/case_studies.h"
 #include "security/collateral.h"
 #include "security/downgrade.h"
 #include "security/happiness.h"
+#include "security/pair_outcomes.h"
 #include "security/partition.h"
 #include "security/rootcause.h"
 #include "test_support.h"
@@ -28,6 +31,18 @@ using test::random_deployment;
 using test::random_gr_graph;
 using topology::AsGraph;
 using topology::AsId;
+
+// ---------------------------------------------------------------------------
+// Source keys (the changed-set scoring of security/pair_outcomes.h).
+// ---------------------------------------------------------------------------
+
+TEST(SourceKey, EveryCodeRoundTrips) {
+  // accumulate_keys decodes each code and re-applies the counting rules, so
+  // the 7-bit packing must be a bijection on [0, kCount).
+  for (std::size_t k = 0; k < SourceKey::kCount; ++k) {
+    EXPECT_EQ(SourceKey::decode(k).code(), k);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Happiness counting.

@@ -26,7 +26,9 @@
 #include "security/rootcause.h"
 #include "sim/campaign.h"
 #include "sim/campaign_io.h"
+#include "sim/experiment.h"
 #include "sim/traffic.h"
+#include "topology/registry.h"
 
 namespace sbgp::sim {
 namespace {
@@ -325,6 +327,40 @@ TEST(TrafficOverflow, CampaignReportsFailedCellsNotRows) {
   for (const FailedCell& cell : result.failed_cells) {
     EXPECT_NE(cell.error.find("2^64"), std::string::npos) << cell.error;
   }
+}
+
+TEST(TrafficOverflow, UniformScaleRejectedFrom2To53) {
+  // A uniform model promises weighted ratios identical to the unweighted
+  // ones, which needs every weighted counter below 2^53: the resolver
+  // accepts the largest scale with scale x (n - 1) x pairs < 2^53 and
+  // rejects the next one.
+  const auto topo = topology::generate_trial("tiny-500", 20130812, 0);
+  const auto tiers = topo.classify();
+  ExperimentSpec spec;
+  spec.scenario = "t1-t2";
+  spec.analyses = Analysis::kHappiness;
+  spec.attackers = {3, 4};
+  spec.destinations = {4, 5, 6};  // 6 raw pairs, 5 valid
+  const std::uint64_t per_unit = (topo.graph.num_ases() - 1) * 5;
+  const std::uint64_t largest = ((std::uint64_t{1} << 53) - 1) / per_unit;
+  ExperimentResolver resolver(topo.graph, tiers);
+  spec.traffic.scale = largest;
+  EXPECT_NO_THROW((void)resolver.resolve(spec));
+  spec.traffic.scale = largest + 1;
+  try {
+    (void)resolver.resolve(spec);
+    ADD_FAILURE() << "uniform scale " << spec.traffic.scale << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("2^53"), std::string::npos)
+        << e.what();
+  }
+  // Scales whose product with the pair count overflows 64 bits, too.
+  spec.traffic.scale = std::uint64_t{1} << 62;
+  EXPECT_THROW((void)resolver.resolve(spec), std::invalid_argument);
+  // Gravity weights are non-uniform and keep their 2^64 failed-cell
+  // contract (CampaignReportsFailedCellsNotRows).
+  spec.traffic = overflow_probe_model();
+  EXPECT_NO_THROW((void)resolver.resolve(spec));
 }
 
 }  // namespace
