@@ -4,7 +4,7 @@
 // The suite mixes a heavy all-analyses spec with light single-analysis
 // specs across three scenarios; every trial regenerates the topology from
 // a SplitMix-derived seed. Per-trial rows (raw integer counters) go to the
-// CSV/JSON paths when given; the aggregated mean ± stderr table prints to
+// CSV path when given; the aggregated mean ± stderr table prints to
 // stdout. After writing, the files are read back and compared to the
 // in-memory rows, so a serialization regression fails the run loudly.
 //
@@ -33,7 +33,7 @@
 // (e.g. 'gravity,seed=7') to every experiment; non-uniform models emit the
 // weighted per-trial schema (w_ columns).
 //
-//   ./example_run_campaign [topology] [trials] [samples] [csv] [json]
+//   ./example_run_campaign [topology] [trials] [samples] [csv]
 //                          [--cache-dir DIR] [--expect-cached] [--strict]
 //                          [--shard I/N] [--merge-only] [--faults SPEC]
 //                          [--target-stderr X] [--max-trials N] [--wave N]
@@ -62,7 +62,7 @@ namespace {
 
 void print_usage(std::ostream& os) {
   os << "usage: example_run_campaign [topology] [trials] [samples]"
-        " [csv] [json]\n"
+        " [csv]\n"
         "                            [--cache-dir DIR] [--expect-cached]"
         " [--strict]\n"
         "                            [--shard I/N] [--merge-only]"
@@ -77,7 +77,7 @@ void print_usage(std::ostream& os) {
         "  topology   registered topology name (default small-2k)\n"
         "  trials     number of generated topologies (default 2)\n"
         "  samples    attackers and destinations per spec (default 8)\n"
-        "  csv, json  write per-trial rows to these paths and verify the\n"
+        "  csv        write per-trial rows to this path and verify the\n"
         "             round trip\n"
         "  --cache-dir DIR   persist/serve per-trial rows from a campaign\n"
         "                    result cache under DIR\n"
@@ -243,7 +243,7 @@ int run(int argc, char** argv) {
     }
     positional.push_back(arg);
   }
-  if (positional.size() > 5) {
+  if (positional.size() > 4) {
     std::cerr << "error: too many arguments\n\n";
     print_usage(std::cerr);
     return 2;
@@ -274,7 +274,6 @@ int run(int argc, char** argv) {
     return 2;
   }
   const std::string csv_path = positional.size() > 3 ? positional[3] : "";
-  const std::string json_path = positional.size() > 4 ? positional[4] : "";
   if (topology::find_topology(campaign.topology) == nullptr &&
       topology::find_topology_file(campaign.topology) == nullptr) {
     std::cerr << "error: unknown topology '" << campaign.topology << "'\n\n";
@@ -391,8 +390,8 @@ int run(int argc, char** argv) {
     }
   }
 
-  // Serialize, re-read, and verify: a campaign result must survive both
-  // formats byte-exactly. Partial results are still written — that is
+  // Serialize, re-read, and verify: a campaign result must survive the
+  // CSV round trip exactly. Partial results are still written — that is
   // what a resumed or merge-only run builds on.
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);
@@ -404,18 +403,6 @@ int run(int argc, char** argv) {
       return 1;
     }
     std::cout << "wrote per-trial rows: " << csv_path
-              << " (round trip verified)\n";
-  }
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    sim::write_trial_rows_json(out, result.trial_rows, weighted);
-    out.close();
-    std::ifstream in(json_path);
-    if (sim::read_trial_rows_json(in) != result.trial_rows) {
-      std::cerr << "FAIL: JSON round trip mismatch\n";
-      return 1;
-    }
-    std::cout << "wrote per-trial rows: " << json_path
               << " (round trip verified)\n";
   }
   if (!stream_path.empty()) {

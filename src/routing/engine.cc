@@ -426,7 +426,7 @@ namespace {
 /// is listed in ws.changed exactly when it changed some lane's word. So on
 /// return ws.changed names every AS whose word differs from its baseline
 /// in any lane, each once: m first, then the customer/peer-stage changes,
-/// then the provider-stage changes and drops. d is never re-fixed.
+/// then the provider-stage changes. d is never re-fixed.
 template <std::size_t kLanes>
 void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
                   EngineWorkspace& ws) {
@@ -618,7 +618,7 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
   //     changes propagate to customers. A bucket member always has a
   //     strictly smaller final length, so it is committed before its
   //     consumers pop (state changes travel strictly down the length
-  //     order). Changed words and dropped routes join ws.changed.
+  //     order). Changed words join ws.changed.
   //
   // Baseline bytes are kept wherever neither pass finds a change, and each
   // re-derived AS gets engine-identical candidates, so the result stays
@@ -688,16 +688,9 @@ void seeded_delta(const std::array<Ctx*, kLanes>& lanes, AsId attacker,
     while (!restate.empty()) {
       const auto [len, v] = restate.pop();
       if (len == kInf) {
-        // No provider route in the attacked instance; drop any stale one.
-        // (Customers needing a recheck were already listed via ws.dirty.)
-        if (ctx.out.type(v) != RouteType::kNone) {
-          for (Ctx* lane : lanes) {
-            lane->out.fix(v, RouteType::kNone, kNoRouteLength,
-                          /*reach_d=*/false, /*reach_m=*/false,
-                          /*secure=*/false);
-          }
-          ws.changed.push_back(v);
-        }
+        // Never a drop: the attack only adds an origin, every baseline
+        // customer/peer route survives, and providers always export down.
+        assert(ctx.out.type(v) == RouteType::kNone);
         continue;
       }
       const Snapshot before = snapshot(v);

@@ -158,23 +158,6 @@ std::vector<PartitionClass> classify_sources(const AsGraph& g, AsId d, AsId m,
   return cls;
 }
 
-PartitionShares to_shares(const std::vector<PartitionClass>& cls, AsId d,
-                          AsId m) {
-  PartitionShares s;
-  std::size_t sources = 0;
-  for (AsId v = 0; v < cls.size(); ++v) {
-    if (v == d || v == m) continue;
-    ++sources;
-    switch (cls[v]) {
-      case PartitionClass::kDoomed: s.doomed += 1.0; break;
-      case PartitionClass::kProtectable: s.protectable += 1.0; break;
-      case PartitionClass::kImmune: s.immune += 1.0; break;
-    }
-  }
-  if (sources > 0) s /= static_cast<double>(sources);
-  return s;
-}
-
 PartitionShares partition_shares(const AsGraph& g, AsId d, AsId m,
                                  SecurityModel model, LocalPrefPolicy lp) {
   routing::EngineWorkspace ws;

@@ -74,10 +74,6 @@ struct PartitionShares {
     const AsGraph& g, AsId d, AsId m, SecurityModel model,
     LocalPrefPolicy lp = LocalPrefPolicy::standard());
 
-/// Aggregates a per-source classification into fractions (excluding d, m).
-[[nodiscard]] PartitionShares to_shares(const std::vector<PartitionClass>& cls,
-                                        AsId d, AsId m);
-
 /// Convenience: classify + aggregate.
 [[nodiscard]] PartitionShares partition_shares(
     const AsGraph& g, AsId d, AsId m, SecurityModel model,

@@ -1,15 +1,12 @@
 #include "sim/campaign_io.h"
 
 #include <array>
-#include <cstdint>
-#include <cstdio>
-#include <tuple>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "util/csv.h"
@@ -27,7 +24,7 @@ using util::split_csv_line;
 // --- shared column schema --------------------------------------------------
 
 /// Leading identity columns of a per-trial row; the integer counter
-/// columns of kCounterNames follow. CSV and JSON use the same names.
+/// columns of kCounterNames follow.
 constexpr std::array<std::string_view, 8> kIdNames = {
     "topology", "trial",      "topology_seed", "spec",
     "label",    "step_label", "model",         "hysteresis"};
@@ -226,238 +223,24 @@ MetricSummary summary_from(const std::array<double, 4>& v) {
   return {v[0], v[1], v[2], v[3]};
 }
 
-// --- minimal JSON ----------------------------------------------------------
-
-// The serializers emit only flat-ish arrays of objects with string /
-// number / bool values (aggregated rows nest one object level for the
-// metric summaries), so this is a deliberately small parser for exactly
-// that subset. Numbers keep their raw text so integer counters round-trip
-// exactly even beyond 2^53.
-
-struct JsonValue {
-  enum class Kind { kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kBool;
-  bool boolean = false;
-  std::string text;  // string contents or raw number text
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] const JsonValue& at(std::string_view key) const {
-    if (const JsonValue* v = find(key)) return *v;
-    throw std::invalid_argument("campaign_io: missing JSON key '" +
-                                std::string(key) + "'");
-  }
-  [[nodiscard]] std::uint64_t as_u64(std::string_view key) const {
-    return parse_u64(at(key).text);
-  }
-  [[nodiscard]] double as_double(std::string_view key) const {
-    return parse_double(at(key).text);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("campaign_io: JSON parse error at offset " +
-                                std::to_string(pos_) + ": " + what);
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string();
-    if (c == 't' || c == 'f') return boolean();
-    return number();
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (consume('}')) return v;
-    for (;;) {
-      skip_ws();
-      JsonValue key = string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key.text), value());
-      skip_ws();
-      if (consume('}')) return v;
-      expect(',');
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (consume(']')) return v;
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (consume(']')) return v;
-      expect(',');
-    }
-  }
-
-  JsonValue string() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    expect('"');
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return v;
-      if (c != '\\') {
-        v.text += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': v.text += '"'; break;
-        case '\\': v.text += '\\'; break;
-        case '/': v.text += '/'; break;
-        case 'b': v.text += '\b'; break;
-        case 'f': v.text += '\f'; break;
-        case 'n': v.text += '\n'; break;
-        case 'r': v.text += '\r'; break;
-        case 't': v.text += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          if (code >= 0x80) fail("non-ASCII \\u escape unsupported");
-          v.text += static_cast<char>(code);
-          break;
+/// Aggregated column list: identities, then `<metric>_<part>` for every
+/// metric and summary part, then the same block `w_`-prefixed.
+const std::vector<std::string>& campaign_row_columns() {
+  static const std::vector<std::string> columns = [] {
+    std::vector<std::string> names = {"label",         "topology",
+                                      "spec",          "trials",
+                                      "failed_trials", "stopping_reason"};
+    for (const std::string prefix : {"", "w_"}) {
+      for (const auto metric : campaign_metric_names()) {
+        for (const auto part : kSummaryParts) {
+          names.push_back(prefix + std::string(metric) + '_' +
+                          std::string(part));
         }
-        default: fail("bad escape");
       }
     }
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (text_.substr(pos_, 4) == "true") {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.substr(pos_, 5) == "false") {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("bad literal");
-    }
-    return v;
-  }
-
-  JsonValue number() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::string_view("+-.eE0123456789").find(text_[pos_]) !=
-            std::string_view::npos)) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    v.text = std::string(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-JsonValue parse_stream(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const std::string text = buffer.str();
-  JsonParser parser(text);
-  JsonValue v = parser.parse();
-  if (v.kind != JsonValue::Kind::kArray) {
-    throw std::invalid_argument("campaign_io: expected a JSON array of rows");
-  }
-  return v;
+    return names;
+  }();
+  return columns;
 }
 
 std::string read_line(std::istream& is, bool& ok) {
@@ -588,120 +371,12 @@ std::vector<CampaignTrialRow> read_trial_rows_csv(std::istream& is) {
   return rows;
 }
 
-TrialRowJsonAppender::TrialRowJsonAppender(std::ostream& os, bool weighted)
-    : os_(&os), weighted_(weighted) {
-  *os_ << "[\n";
-}
-
-void TrialRowJsonAppender::append(const CampaignTrialRow& r) {
-  if (!weighted_ && !is_uniform_weight(r)) {
-    throw std::logic_error(
-        "TrialRowJsonAppender: non-uniform-weight row appended to a "
-        "legacy-layout file; construct the appender with weighted = true");
-  }
-  // The previous element is held back until now, when a comma is known to
-  // follow it — the writer's exact no-trailing-comma byte layout, built
-  // incrementally.
-  if (any_) *os_ << pending_ << ",\n";
-  std::ostringstream element;
-  element << "  {\"topology\": " << json_escape(r.topology)
-          << ", \"trial\": " << r.trial
-          << ", \"topology_seed\": " << r.topology_seed
-          << ", \"spec\": " << r.spec_index
-          << ", \"label\": " << json_escape(r.row.label)
-          << ", \"step_label\": " << json_escape(r.row.step_label)
-          << ", \"model\": " << json_escape(to_string(r.row.model))
-          << ", \"hysteresis\": " << (r.row.hysteresis ? "true" : "false");
-  const auto slots = counter_slots(r);
-  for (std::size_t c = 0; c < slots.size(); ++c) {
-    element << ", \"" << kCounterNames[c] << "\": " << *slots[c];
-  }
-  if (weighted_) {
-    const auto w_slots = weighted_counter_slots(r);
-    const auto w_names = weighted_column_names();
-    for (std::size_t c = 0; c < w_slots.size(); ++c) {
-      element << ", \"" << w_names[c] << "\": " << *w_slots[c];
-    }
-  }
-  element << '}';
-  pending_ = element.str();
-  any_ = true;
-}
-
-void TrialRowJsonAppender::finish() {
-  if (finished_) {
-    throw std::logic_error("TrialRowJsonAppender: finish() called twice");
-  }
-  finished_ = true;
-  if (any_) *os_ << pending_ << '\n';
-  *os_ << "]\n";
-}
-
-void write_trial_rows_json(std::ostream& os,
-                           const std::vector<CampaignTrialRow>& rows,
-                           bool weighted) {
-  TrialRowJsonAppender appender(os, weighted);
-  for (const auto& r : rows) appender.append(r);
-  appender.finish();
-}
-
-void write_trial_rows_json(std::ostream& os,
-                           const std::vector<CampaignTrialRow>& rows) {
-  write_trial_rows_json(os, rows, !all_uniform_weight(rows));
-}
-
-std::vector<CampaignTrialRow> read_trial_rows_json(std::istream& is) {
-  const JsonValue root = parse_stream(is);
-  std::vector<CampaignTrialRow> rows;
-  rows.reserve(root.array.size());
-  for (const auto& obj : root.array) {
-    CampaignTrialRow r;
-    r.topology = obj.at("topology").text;
-    r.trial = static_cast<std::size_t>(obj.as_u64("trial"));
-    r.topology_seed = obj.as_u64("topology_seed");
-    r.spec_index = static_cast<std::size_t>(obj.as_u64("spec"));
-    r.row.label = obj.at("label").text;
-    r.row.step_label = obj.at("step_label").text;
-    r.row.model = parse_model(obj.at("model").text);
-    r.row.hysteresis = obj.at("hysteresis").boolean;
-    const auto slots = counter_slots(r);
-    for (std::size_t c = 0; c < slots.size(); ++c) {
-      *slots[c] = static_cast<std::size_t>(obj.as_u64(kCounterNames[c]));
-    }
-    // The weighted keys are present iff the file was written in weighted
-    // mode; their absence means a uniform-weight run.
-    if (obj.find("weight") != nullptr) {
-      const auto w_slots = weighted_counter_slots(r);
-      const auto w_names = weighted_column_names();
-      for (std::size_t c = 0; c < w_slots.size(); ++c) {
-        *w_slots[c] = static_cast<std::size_t>(obj.as_u64(w_names[c]));
-      }
-    } else {
-      reconstruct_uniform_weights(r);
-    }
-    rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
 // --- aggregated rows -------------------------------------------------------
 
 void write_campaign_rows_csv(std::ostream& os,
                              const std::vector<CampaignRow>& rows) {
-  std::vector<std::string> fields = {
-      "label", "topology", "spec", "trials", "failed_trials",
-      "stopping_reason"};
-  for (const auto metric : campaign_metric_names()) {
-    for (const auto part : kSummaryParts) {
-      fields.push_back(std::string(metric) + '_' + std::string(part));
-    }
-  }
-  for (const auto metric : campaign_metric_names()) {
-    for (const auto part : kSummaryParts) {
-      fields.push_back("w_" + std::string(metric) + '_' + std::string(part));
-    }
-  }
-  os << csv_line(fields) << '\n';
+  os << csv_line(campaign_row_columns()) << '\n';
+  std::vector<std::string> fields;
   for (const auto& r : rows) {
     fields.clear();
     fields.push_back(r.label);
@@ -710,14 +385,11 @@ void write_campaign_rows_csv(std::ostream& os,
     fields.push_back(std::to_string(r.trials));
     fields.push_back(std::to_string(r.failed_trials));
     fields.emplace_back(to_string(r.stopping));
-    for (const auto& m : r.metrics) {
-      for (const double v : summary_values(m)) {
-        fields.push_back(format_double(v));
-      }
-    }
-    for (const auto& m : r.weighted_metrics) {
-      for (const double v : summary_values(m)) {
-        fields.push_back(format_double(v));
+    for (const auto* metrics : {&r.metrics, &r.weighted_metrics}) {
+      for (const auto& m : *metrics) {
+        for (const double v : summary_values(m)) {
+          fields.push_back(format_double(v));
+        }
       }
     }
     os << csv_line(fields) << '\n';
@@ -730,56 +402,16 @@ std::vector<CampaignRow> read_campaign_rows_csv(std::istream& is) {
   if (!ok) {
     throw std::invalid_argument("read_campaign_rows_csv: empty input");
   }
-  // Accept all four header generations — bare, + failed_trials,
-  // + stopping_reason, + the weighted metric columns — so baselines
-  // written before each column existed keep parsing. Absent columns mean
-  // failed_trials == 0, StoppingReason::kFixed and weighted_metrics ==
-  // metrics, which is exactly what those older (clean, fixed-trial-count,
-  // uniform-weight) files recorded.
-  std::vector<std::string> metric_columns;
-  std::vector<std::string> weighted_metric_columns;
-  for (const auto metric : campaign_metric_names()) {
-    for (const auto part : kSummaryParts) {
-      metric_columns.push_back(std::string(metric) + '_' + std::string(part));
-      weighted_metric_columns.push_back("w_" + std::string(metric) + '_' +
-                                        std::string(part));
-    }
-  }
-  const auto make_header = [&](bool failed, bool stopping, bool weighted) {
-    std::vector<std::string> h = {"label", "topology", "spec", "trials"};
-    if (failed) h.emplace_back("failed_trials");
-    if (stopping) h.emplace_back("stopping_reason");
-    h.insert(h.end(), metric_columns.begin(), metric_columns.end());
-    if (weighted) {
-      h.insert(h.end(), weighted_metric_columns.begin(),
-               weighted_metric_columns.end());
-    }
-    return h;
-  };
-  const auto header_fields = split_csv_line(header);
-  bool has_failed_trials = true;
-  bool has_stopping = true;
-  bool has_weighted = true;
-  if (header_fields == make_header(false, false, false)) {
-    has_failed_trials = false;
-    has_stopping = false;
-    has_weighted = false;
-  } else if (header_fields == make_header(true, false, false)) {
-    has_stopping = false;
-    has_weighted = false;
-  } else if (header_fields == make_header(true, true, false)) {
-    has_weighted = false;
-  } else if (header_fields != make_header(true, true, true)) {
+  if (split_csv_line(header) != campaign_row_columns()) {
     throw std::invalid_argument("read_campaign_rows_csv: header mismatch");
   }
-  const std::size_t arity = header_fields.size();
   std::vector<CampaignRow> rows;
   for (;;) {
     const std::string line = read_line(is, ok);
     if (!ok) break;
     if (line.empty()) continue;
     const auto fields = split_csv_line(line);
-    if (fields.size() != arity) {
+    if (fields.size() != campaign_row_columns().size()) {
       throw std::invalid_argument("read_campaign_rows_csv: bad row arity");
     }
     CampaignRow r;
@@ -787,104 +419,15 @@ std::vector<CampaignRow> read_campaign_rows_csv(std::istream& is) {
     r.topology = fields[1];
     r.spec_index = static_cast<std::size_t>(parse_u64(fields[2]));
     r.trials = static_cast<std::size_t>(parse_u64(fields[3]));
-    std::size_t f = 4;
-    if (has_failed_trials) {
-      r.failed_trials = static_cast<std::size_t>(parse_u64(fields[f++]));
-    }
-    if (has_stopping) {
-      r.stopping = parse_stopping_reason(fields[f++]);
-    }
-    for (auto& m : r.metrics) {
-      std::array<double, 4> v;
-      for (double& x : v) x = parse_double(fields[f++]);
-      m = summary_from(v);
-    }
-    if (has_weighted) {
-      for (auto& m : r.weighted_metrics) {
+    r.failed_trials = static_cast<std::size_t>(parse_u64(fields[4]));
+    r.stopping = parse_stopping_reason(fields[5]);
+    std::size_t f = 6;
+    for (auto* metrics : {&r.metrics, &r.weighted_metrics}) {
+      for (auto& m : *metrics) {
         std::array<double, 4> v;
         for (double& x : v) x = parse_double(fields[f++]);
         m = summary_from(v);
       }
-    } else {
-      r.weighted_metrics = r.metrics;
-    }
-    rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
-void write_campaign_rows_json(std::ostream& os,
-                              const std::vector<CampaignRow>& rows) {
-  os << "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    os << "  {\"label\": " << json_escape(r.label)
-       << ", \"topology\": " << json_escape(r.topology)
-       << ", \"spec\": " << r.spec_index << ", \"trials\": " << r.trials
-       << ", \"failed_trials\": " << r.failed_trials
-       << ", \"stopping_reason\": " << json_escape(to_string(r.stopping))
-       << ", \"metrics\": {";
-    const auto& names = campaign_metric_names();
-    const auto emit_metrics =
-        [&](const std::array<MetricSummary, kNumCampaignMetrics>& metrics) {
-          for (std::size_t m = 0; m < kNumCampaignMetrics; ++m) {
-            if (m != 0) os << ", ";
-            const auto values = summary_values(metrics[m]);
-            os << '"' << names[m] << "\": {";
-            for (std::size_t p = 0; p < kSummaryParts.size(); ++p) {
-              if (p != 0) os << ", ";
-              os << '"' << kSummaryParts[p]
-                 << "\": " << format_double(values[p]);
-            }
-            os << '}';
-          }
-        };
-    emit_metrics(r.metrics);
-    os << "}, \"weighted_metrics\": {";
-    emit_metrics(r.weighted_metrics);
-    os << "}}" << (i + 1 < rows.size() ? "," : "") << '\n';
-  }
-  os << "]\n";
-}
-
-std::vector<CampaignRow> read_campaign_rows_json(std::istream& is) {
-  const JsonValue root = parse_stream(is);
-  std::vector<CampaignRow> rows;
-  rows.reserve(root.array.size());
-  for (const auto& obj : root.array) {
-    CampaignRow r;
-    r.label = obj.at("label").text;
-    r.topology = obj.at("topology").text;
-    r.spec_index = static_cast<std::size_t>(obj.as_u64("spec"));
-    r.trials = static_cast<std::size_t>(obj.as_u64("trials"));
-    // Optional for pre-failed_trials files (absent means a clean run).
-    if (obj.find("failed_trials") != nullptr) {
-      r.failed_trials = static_cast<std::size_t>(obj.as_u64("failed_trials"));
-    }
-    // Optional for pre-adaptive files (absent means a fixed-count run).
-    if (const JsonValue* reason = obj.find("stopping_reason")) {
-      r.stopping = parse_stopping_reason(reason->text);
-    }
-    const auto& names = campaign_metric_names();
-    const auto read_metrics =
-        [&](const JsonValue& metrics,
-            std::array<MetricSummary, kNumCampaignMetrics>& out) {
-          for (std::size_t m = 0; m < kNumCampaignMetrics; ++m) {
-            const JsonValue& summary = metrics.at(names[m]);
-            std::array<double, 4> v;
-            for (std::size_t p = 0; p < kSummaryParts.size(); ++p) {
-              v[p] = summary.as_double(kSummaryParts[p]);
-            }
-            out[m] = summary_from(v);
-          }
-        };
-    read_metrics(obj.at("metrics"), r.metrics);
-    // Optional for pre-weighted files (absent means uniform weights, where
-    // the weighted metrics equal the unweighted ones).
-    if (const JsonValue* wm = obj.find("weighted_metrics")) {
-      read_metrics(*wm, r.weighted_metrics);
-    } else {
-      r.weighted_metrics = r.metrics;
     }
     rows.push_back(std::move(r));
   }

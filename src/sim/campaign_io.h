@@ -1,13 +1,12 @@
-// Campaign result serialization: CSV and JSON, with round-trip readers.
+// Campaign result serialization: CSV writers with round-trip readers.
 //
 // Per-trial rows carry the raw integer counters of every analysis (exact
 // decimal serialization), so written results can be diffed byte-for-byte
 // across machines and thread counts, re-aggregated offline, or compared in
 // CI against a checked-in baseline. Aggregated rows carry the derived
 // metric summaries (mean/stderr/min/max) formatted with max_digits10, so
-// parsing returns the identical doubles. Both formats are flat and
-// self-describing: CSV starts with a header line the readers verify;
-// JSON is an array of objects keyed by the same column names.
+// parsing returns the identical doubles. Every file is flat and
+// self-describing: it starts with a header line the readers verify.
 #ifndef SBGP_SIM_CAMPAIGN_IO_H
 #define SBGP_SIM_CAMPAIGN_IO_H
 
@@ -31,7 +30,7 @@ namespace sbgp::sim {
 // w_X = X) from legacy files — which is exactly what those files mean.
 
 /// Column names of the FULL per-trial row schema (weighted generation) in
-/// serialization order — the CSV header fields / JSON object keys. Shared
+/// serialization order — the CSV header fields. Shared
 /// by the writers, the header-checking readers, and the baseline differ
 /// (campaign_diff.h). The legacy generation is a strict prefix.
 [[nodiscard]] const std::vector<std::string>& trial_row_columns();
@@ -64,14 +63,6 @@ void write_trial_rows_csv(std::ostream& os,
 [[nodiscard]] std::vector<CampaignTrialRow> read_trial_rows_csv(
     std::istream& is);
 
-void write_trial_rows_json(std::ostream& os,
-                           const std::vector<CampaignTrialRow>& rows);
-void write_trial_rows_json(std::ostream& os,
-                           const std::vector<CampaignTrialRow>& rows,
-                           bool weighted);
-[[nodiscard]] std::vector<CampaignTrialRow> read_trial_rows_json(
-    std::istream& is);
-
 /// Streaming per-trial CSV sink: the header is written at construction,
 /// one row per append(). Wiring `append` as a sim::RowSink streams rows to
 /// disk as cells complete, and the resulting file is byte-identical to
@@ -91,48 +82,22 @@ class TrialRowCsvAppender {
   bool weighted_;
 };
 
-/// Streaming per-trial JSON sink: "[" at construction, one array element
-/// per append(), "]" on finish() — which must be called exactly once after
-/// the last row (the destructor does NOT close the array, so a crashed
-/// producer leaves an obviously-truncated file rather than a silently
-/// short one). Byte-identical to write_trial_rows_json over the same rows.
-class TrialRowJsonAppender {
- public:
-  /// `weighted` as in TrialRowCsvAppender: element keys are fixed per
-  /// file, and a non-uniform row in legacy mode throws std::logic_error.
-  explicit TrialRowJsonAppender(std::ostream& os, bool weighted = false);
-  void append(const CampaignTrialRow& row);
-  void finish();
-
- private:
-  std::ostream* os_;
-  bool weighted_ = false;
-  std::string pending_;  // previous element, held back until we know
-                         // whether a comma or the closing bracket follows
-  bool any_ = false;
-  bool finished_ = false;
-};
-
 // --- aggregated rows -------------------------------------------------------
 
-// The aggregated schema has grown three times: `failed_trials` (always 0
-// for a clean run), `stopping_reason` ("fixed" / "converged" / "budget" —
-// the adaptive-stopping outcome, sim::StoppingReason), and the
-// traffic-weighted metric summaries (`w_<metric>_<part>` columns / the
-// "weighted_metrics" JSON object). The writers always emit the newest
-// generation; the readers accept all four. Absent columns default to
-// 0 / kFixed / weighted_metrics = metrics, which is exactly what files
-// written before each column existed mean (older files were all
-// uniform-weight, where the weighted metrics equal the unweighted ones).
+// The aggregated schema has one generation: identity and bookkeeping
+// columns (`failed_trials`, always 0 for a clean run; `stopping_reason`,
+// "fixed" / "converged" / "budget" — sim::StoppingReason), then
+// `<metric>_<part>` for every campaign metric and summary part, then the
+// traffic-weighted `w_<metric>_<part>` mirrors. The writer and the reader
+// share one column list.
 
 void write_campaign_rows_csv(std::ostream& os,
                              const std::vector<CampaignRow>& rows);
+/// Parses what write_campaign_rows_csv produces. Throws
+/// std::invalid_argument on any other header (older generations without
+/// `failed_trials`, `stopping_reason` or the weighted columns included) or
+/// on a malformed row.
 [[nodiscard]] std::vector<CampaignRow> read_campaign_rows_csv(
-    std::istream& is);
-
-void write_campaign_rows_json(std::ostream& os,
-                              const std::vector<CampaignRow>& rows);
-[[nodiscard]] std::vector<CampaignRow> read_campaign_rows_json(
     std::istream& is);
 
 }  // namespace sbgp::sim

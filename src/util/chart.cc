@@ -38,13 +38,4 @@ void print_stacked_bars(std::ostream& os, const std::vector<StackedBar>& bars,
   }
 }
 
-void print_bars(std::ostream& os,
-                const std::vector<std::pair<std::string, double>>& bars,
-                int width) {
-  std::vector<StackedBar> stacked;
-  stacked.reserve(bars.size());
-  for (const auto& [label, v] : bars) stacked.push_back({label, {v}});
-  print_stacked_bars(os, stacked, {'#'}, width);
-}
-
 }  // namespace sbgp::util

@@ -23,11 +23,6 @@ void print_stacked_bars(std::ostream& os, const std::vector<StackedBar>& bars,
                         const std::vector<char>& segment_glyphs,
                         int width = 50);
 
-/// Renders a simple horizontal bar per (label, value in [0,1]) pair.
-void print_bars(std::ostream& os,
-                const std::vector<std::pair<std::string, double>>& bars,
-                int width = 50);
-
 }  // namespace sbgp::util
 
 #endif  // SBGP_UTIL_CHART_H

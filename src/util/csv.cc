@@ -39,6 +39,9 @@ std::string csv_line(const std::vector<std::string>& fields) {
 }
 
 std::vector<std::string> split_csv_line(std::string_view line) {
+  if (line.find_first_of("\r\n") != std::string_view::npos) {
+    throw std::invalid_argument("split_csv_line: embedded newline");
+  }
   std::vector<std::string> fields;
   std::string cur;
   bool quoted = false;

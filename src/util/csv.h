@@ -26,7 +26,8 @@ namespace sbgp::util {
 [[nodiscard]] std::string csv_line(const std::vector<std::string>& fields);
 
 /// Splits one CSV record into fields, honoring quotes and doubled-quote
-/// escapes. Throws std::invalid_argument on unbalanced quoting.
+/// escapes. Throws std::invalid_argument on unbalanced quoting and on a
+/// carriage return or newline, which csv_field never writes.
 [[nodiscard]] std::vector<std::string> split_csv_line(std::string_view line);
 
 /// Shortest-exact decimal form of `v` (max_digits10 precision): parsing the

@@ -1,6 +1,6 @@
 // Campaign-layer tests: equivalence with independent suite runs on the
 // same generated topologies, thread-count determinism down to serialized
-// bytes, CSV/JSON round trips, aggregation math, and registry-naming
+// bytes, CSV round trips, aggregation math, and registry-naming
 // error messages.
 #include <gtest/gtest.h>
 
@@ -106,18 +106,14 @@ TEST(Campaign, ThreadCountIndependentDownToSerializedBytes) {
   const auto serialize = [](const CampaignResult& r) {
     std::ostringstream csv;
     write_trial_rows_csv(csv, r.trial_rows);
-    std::ostringstream json;
-    write_trial_rows_json(json, r.trial_rows);
     std::ostringstream agg_csv;
     write_campaign_rows_csv(agg_csv, r.rows);
-    std::ostringstream agg_json;
-    write_campaign_rows_json(agg_json, r.rows);
-    return csv.str() + json.str() + agg_csv.str() + agg_json.str();
+    return csv.str() + agg_csv.str();
   };
   EXPECT_EQ(serialize(a), serialize(b));
 }
 
-TEST(Campaign, TrialRowsRoundTripThroughCsvAndJson) {
+TEST(Campaign, TrialRowsRoundTripThroughCsv) {
   const CampaignResult result = run_campaign(small_campaign(2));
   ASSERT_FALSE(result.trial_rows.empty());
 
@@ -125,14 +121,9 @@ TEST(Campaign, TrialRowsRoundTripThroughCsvAndJson) {
   write_trial_rows_csv(csv, result.trial_rows);
   std::istringstream csv_in(csv.str());
   EXPECT_EQ(read_trial_rows_csv(csv_in), result.trial_rows);
-
-  std::ostringstream json;
-  write_trial_rows_json(json, result.trial_rows);
-  std::istringstream json_in(json.str());
-  EXPECT_EQ(read_trial_rows_json(json_in), result.trial_rows);
 }
 
-TEST(Campaign, AggregatedRowsRoundTripThroughCsvAndJson) {
+TEST(Campaign, AggregatedRowsRoundTripThroughCsv) {
   const CampaignResult result = run_campaign(small_campaign(3));
   ASSERT_FALSE(result.rows.empty());
   EXPECT_EQ(result.rows.front().trials, 3u);
@@ -141,11 +132,6 @@ TEST(Campaign, AggregatedRowsRoundTripThroughCsvAndJson) {
   write_campaign_rows_csv(csv, result.rows);
   std::istringstream csv_in(csv.str());
   EXPECT_EQ(read_campaign_rows_csv(csv_in), result.rows);
-
-  std::ostringstream json;
-  write_campaign_rows_json(json, result.rows);
-  std::istringstream json_in(json.str());
-  EXPECT_EQ(read_campaign_rows_json(json_in), result.rows);
 }
 
 TEST(Campaign, ReadersRejectMalformedInput) {
@@ -153,10 +139,6 @@ TEST(Campaign, ReadersRejectMalformedInput) {
   EXPECT_THROW((void)read_trial_rows_csv(bad_header), std::invalid_argument);
   std::istringstream empty("");
   EXPECT_THROW((void)read_campaign_rows_csv(empty), std::invalid_argument);
-  std::istringstream bad_json("{\"not\": \"an array\"}");
-  EXPECT_THROW((void)read_trial_rows_json(bad_json), std::invalid_argument);
-  std::istringstream truncated("[{\"topology\": \"x\"");
-  EXPECT_THROW((void)read_trial_rows_json(truncated), std::invalid_argument);
 }
 
 TEST(Campaign, AggregationComputesMeanStderrMinMax) {
@@ -344,7 +326,7 @@ TEST(Campaign, AdaptiveBudgetExhaustionReportsBudgetReason) {
 
 TEST(Campaign, FixedWavePartitioningKeepsBytesIdentical) {
   // wave_size on a fixed campaign only partitions the schedule; rows,
-  // aggregates and all four serializations must stay byte-identical to
+  // aggregates and both serializations must stay byte-identical to
   // the single-wave run.
   CampaignSpec campaign = small_campaign(3);
   CampaignSpec waved = campaign;
@@ -356,13 +338,9 @@ TEST(Campaign, FixedWavePartitioningKeepsBytesIdentical) {
   const auto serialize = [](const CampaignResult& r) {
     std::ostringstream csv;
     write_trial_rows_csv(csv, r.trial_rows);
-    std::ostringstream json;
-    write_trial_rows_json(json, r.trial_rows);
     std::ostringstream agg_csv;
     write_campaign_rows_csv(agg_csv, r.rows);
-    std::ostringstream agg_json;
-    write_campaign_rows_json(agg_json, r.rows);
-    return csv.str() + json.str() + agg_csv.str() + agg_json.str();
+    return csv.str() + agg_csv.str();
   };
   EXPECT_EQ(serialize(a), serialize(b));
 }
@@ -420,14 +398,12 @@ TEST(Campaign, AdaptiveConfigValidation) {
   EXPECT_THROW((void)run_campaign(merge), std::invalid_argument);
 }
 
-TEST(Campaign, AggregatedReadersAcceptLegacySchemas) {
-  // Four header generations are readable: no extra columns, then
-  // +failed_trials, then +stopping_reason, then +the weighted metric
-  // columns. A fixed clean uniform-weight run writes failed_trials=0,
-  // stopping_reason=fixed and weighted metrics identical to the
-  // unweighted ones — exactly the defaults the readers fill in for the
-  // older schemas — so stripping those columns from current output must
-  // parse back to identical rows.
+TEST(Campaign, AggregatedReaderRejectsLegacySchemas) {
+  // Only the current header generation is readable. The three older ones
+  // (no extra columns; +failed_trials; +stopping_reason; all without the
+  // weighted metric columns) are synthesized by stripping columns from
+  // current output, and each must be rejected as a header mismatch rather
+  // than parsed with guessed defaults.
   const CampaignResult result = run_campaign(small_campaign(2));
   std::ostringstream csv;
   write_campaign_rows_csv(csv, result.rows);
@@ -457,50 +433,12 @@ TEST(Campaign, AggregatedReadersAcceptLegacySchemas) {
                         kNumCampaignMetrics * 4);
   const std::string gen2 = strip_csv_columns(gen3, 5, 1);  // -stopping_reason
   const std::string gen1 = strip_csv_columns(gen2, 4, 1);  // -failed_trials
-  std::istringstream gen3_in(gen3);
-  EXPECT_EQ(read_campaign_rows_csv(gen3_in), result.rows);
-  std::istringstream gen2_in(gen2);
-  EXPECT_EQ(read_campaign_rows_csv(gen2_in), result.rows);
-  std::istringstream gen1_in(gen1);
-  EXPECT_EQ(read_campaign_rows_csv(gen1_in), result.rows);
-
-  std::ostringstream json;
-  write_campaign_rows_json(json, result.rows);
-  const auto strip_json_key = [](std::string text, const std::string& frag) {
-    for (std::size_t pos = text.find(frag); pos != std::string::npos;
-         pos = text.find(frag)) {
-      text.erase(pos, frag.size());
-    }
-    return text;
-  };
-  // Drop the whole weighted_metrics object: it starts at its key and ends
-  // at the matching close brace (no nested strings to worry about — the
-  // writer emits only metric names and numbers inside).
-  const auto strip_weighted_metrics = [](std::string text) {
-    const std::string key = ", \"weighted_metrics\": {";
-    for (std::size_t pos = text.find(key); pos != std::string::npos;
-         pos = text.find(key)) {
-      std::size_t end = pos + key.size();
-      int depth = 1;
-      while (end < text.size() && depth > 0) {
-        if (text[end] == '{') ++depth;
-        if (text[end] == '}') --depth;
-        ++end;
-      }
-      text.erase(pos, end - pos);
-    }
-    return text;
-  };
-  const std::string jgen3 = strip_weighted_metrics(json.str());
-  const std::string jgen2 =
-      strip_json_key(jgen3, ", \"stopping_reason\": \"fixed\"");
-  const std::string jgen1 = strip_json_key(jgen2, ", \"failed_trials\": 0");
-  std::istringstream jgen3_in(jgen3);
-  EXPECT_EQ(read_campaign_rows_json(jgen3_in), result.rows);
-  std::istringstream jgen2_in(jgen2);
-  EXPECT_EQ(read_campaign_rows_json(jgen2_in), result.rows);
-  std::istringstream jgen1_in(jgen1);
-  EXPECT_EQ(read_campaign_rows_json(jgen1_in), result.rows);
+  for (const std::string* legacy : {&gen3, &gen2, &gen1}) {
+    std::istringstream in(*legacy);
+    EXPECT_THROW((void)read_campaign_rows_csv(in), std::invalid_argument);
+  }
+  std::istringstream current(csv.str());
+  EXPECT_EQ(read_campaign_rows_csv(current), result.rows);
 }
 
 TEST(Campaign, AdaptiveRowsSurviveSerializationRoundTrip) {
@@ -517,11 +455,6 @@ TEST(Campaign, AdaptiveRowsSurviveSerializationRoundTrip) {
   EXPECT_NE(csv.str().find("converged"), std::string::npos);
   std::istringstream csv_in(csv.str());
   EXPECT_EQ(read_campaign_rows_csv(csv_in), result.rows);
-
-  std::ostringstream json;
-  write_campaign_rows_json(json, result.rows);
-  std::istringstream json_in(json.str());
-  EXPECT_EQ(read_campaign_rows_json(json_in), result.rows);
 }
 
 }  // namespace

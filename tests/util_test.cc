@@ -331,6 +331,8 @@ TEST(Csv, FieldQuotingRoundTrips) {
   // Line-based readers cannot round-trip embedded newlines; the writer
   // must reject them rather than emit an unreadable file.
   EXPECT_THROW((void)csv_field("a\nb"), std::invalid_argument);
+  // ...and the reader refuses what the writer never emits.
+  EXPECT_THROW((void)split_csv_line("a\rb,c"), std::invalid_argument);
 }
 
 TEST(Csv, DoubleFormattingRoundTripsExactly) {
